@@ -50,8 +50,11 @@ let run binaries args mode_name fs_image save_fs epc_size no_paging cores jit
   in
   let host_fs =
     match fs_image with
-    | Some path when Sys.file_exists path ->
-        Some (Occlum_libos.Sefs.Host_store.load path)
+    | Some path when Sys.file_exists path -> (
+        try Some (Occlum_libos.Sefs.Host_store.load path)
+        with Occlum_libos.Sefs.Host_store.Bad_image why ->
+          prerr_endline ("bad SEFS image " ^ path ^ ": " ^ why);
+          exit 1)
     | _ -> None
   in
   (* EPC demand paging is on by default (the robust configuration): a

@@ -15,8 +15,14 @@ module Sefs = Occlum_libos.Sefs
 
 let default_key = "occlum-fs-master-key"
 
+let load_image image =
+  try Sefs.Host_store.load image
+  with Sefs.Host_store.Bad_image why ->
+    Printf.eprintf "error: bad image %s: %s\n" image why;
+    exit 1
+
 let mount_image image key =
-  if Sys.file_exists image then Sefs.mount ~key (Sefs.Host_store.load image)
+  if Sys.file_exists image then Sefs.mount ~key (load_image image)
   else Sefs.create ~key ()
 
 let save fs image =
@@ -111,7 +117,7 @@ let cat_cmd =
 let tamper_cmd =
   let run image block =
     (* deliberately key-less: the attack a malicious host mounts *)
-    let host = Sefs.Host_store.load image in
+    let host = load_image image in
     if Sefs.Host_store.tamper host block then begin
       Sefs.Host_store.save host image;
       Printf.printf "flipped one bit of ciphertext block %d\n" block

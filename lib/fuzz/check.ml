@@ -181,32 +181,38 @@ let codec_case rng =
 
 (* --- property: cached-vs-uncached equivalence --------------------------- *)
 
+(* Forced AEX by fuel slicing: a run's fuel is capped at the next
+   boundary whose instruction count is a multiple of [period], so the
+   quantum expiry that models the timer interrupt lands on the same
+   architectural boundary in every tier. Anchoring on [insns] also makes
+   re-entry after an EPC reload re-derive its slice instead of firing
+   twice. *)
+let aex_slice (cpu : Cpu.t) ~period ~rem =
+  min rem (period - (cpu.Cpu.insns mod period))
+
+(* One injected AEX per [Stop_quantum] on a scheduled boundary; only the
+   storm side of a differential passes [inj], so each counts once. *)
+let count_aex ?inj (cpu : Cpu.t) ~period =
+  match inj with
+  | Some i when cpu.Cpu.insns mod period = 0 ->
+      i.Inject.aex <- i.Inject.aex + 1
+  | _ -> ()
+
 (* Run the same binary in two isolated envs, cached and uncached, under
-   identical counter-based interrupt schedules, comparing architectural
-   state and counters at every stop and memory at syscall/fault/final
-   stops. [period >= 2] so a preempted boundary still makes progress on
-   re-entry. *)
-let drive_pair ?(intr_a = None) oelf ~period ~fuel =
+   the same AEX slicing schedule, comparing architectural state and
+   counters at every stop and memory at syscall/fault/final stops. *)
+let drive_pair ?inj oelf ~period ~fuel =
   let env_a = Exec.make oelf and env_b = Exec.make oelf in
   let cache = Decode_cache.create () in
-  let ia =
-    match intr_a with
-    | Some i -> i
-    | None -> Inject.interrupt_silent ~period
-  in
-  let ib = Inject.interrupt_silent ~period in
   let compare_cpu () = cpu_diff env_a.Exec.cpu env_b.Exec.cpu in
   let compare_mem () = mem_diff env_a env_b in
   let rec go () =
     let rem = fuel - env_a.Exec.cpu.Cpu.insns in
     if rem <= 0 then final ()
     else begin
-      let stop_a =
-        Interp.run ~cache ~interrupt:ia env_a.Exec.mem env_a.Exec.cpu ~fuel:rem
-      in
-      let stop_b =
-        Interp.run ~interrupt:ib env_b.Exec.mem env_b.Exec.cpu ~fuel:rem
-      in
+      let fuel = aex_slice env_a.Exec.cpu ~period ~rem in
+      let stop_a = Interp.run ~cache env_a.Exec.mem env_a.Exec.cpu ~fuel in
+      let stop_b = Interp.run env_b.Exec.mem env_b.Exec.cpu ~fuel in
       if stop_a <> stop_b then
         Error
           (Printf.sprintf "stops diverge: %s vs %s"
@@ -218,7 +224,9 @@ let drive_pair ?(intr_a = None) oelf ~period ~fuel =
         | None -> (
             match stop_a with
             | Interp.Stop_fault _ -> final ()
-            | Interp.Stop_quantum -> go ()
+            | Interp.Stop_quantum ->
+                count_aex ?inj env_a.Exec.cpu ~period;
+                go ()
             | Interp.Stop_syscall -> (
                 match compare_mem () with
                 | Some d -> Error ("memory diverges at syscall: " ^ d)
@@ -247,7 +255,7 @@ let cache_equivalence_case inj shrink rng case =
   let items = Gen.program rng in
   let period = 2 + Rng.int rng 40 in
   let fuel = 1500 + Rng.int rng 1500 in
-  match drive_pair ~intr_a:(Some (Inject.interrupt_every inj ~period)) (Gen.link items) ~period ~fuel with
+  match drive_pair ~inj (Gen.link items) ~period ~fuel with
   | Ok () -> None
   | Error detail ->
       let minimized =
@@ -267,8 +275,7 @@ let cache_equivalence_case inj shrink rng case =
 
 let contained oelf ~period ~fuel =
   let env = Exec.make oelf in
-  let intr = Inject.interrupt_silent ~period in
-  Exec.run_contained ~fuel ~interrupt:intr env
+  Exec.run_contained ~fuel ~interrupt:(Inject.interrupt_every ~period ()) env
 
 let soundness_case inj shrink rng case =
   let period = 1 + Rng.int rng 2 in
@@ -281,7 +288,7 @@ let soundness_case inj shrink rng case =
   in
   let run_accepted tag items_opt oelf =
     let env = Exec.make oelf in
-    let intr = Inject.interrupt_every inj ~period in
+    let intr = Inject.interrupt_every ~inj ~period () in
     match Exec.run_contained ~fuel ~interrupt:intr env with
     | Ok _ -> None
     | Error v ->
@@ -504,12 +511,8 @@ let run_to_sync (env : Exec.env) intr fuel =
    memory comparison covers data + victim only. *)
 let elide_equiv ?inj oelf oelf' ~period ~fuel =
   let a = Exec.make oelf and b = Exec.make oelf' in
-  let ia =
-    match inj with
-    | Some inj -> Inject.interrupt_every inj ~period
-    | None -> Inject.interrupt_silent ~period
-  in
-  let ib = Inject.interrupt_silent ~period in
+  let ia = Inject.interrupt_every ?inj ~period () in
+  let ib = Inject.interrupt_every ~period () in
   let data_victim_diff () =
     let region name base len =
       let x = Mem.read_bytes_priv a.Exec.mem ~addr:base ~len in
@@ -1236,11 +1239,11 @@ let mc_case _inj _shrink rng case =
    counters and memory at every synchronization point. Three hostile
    regimes stress the tier-transition seams:
 
-   - [J_plain]: a counter-based interrupt storm on the JIT machine with
-     silent twins on identical schedules. Consult parity is itself under
-     test — a fused superinstruction that skipped an interrupt
-     consultation at an original-instruction boundary would shift the
-     storm to different architectural points and diverge immediately.
+   - [J_plain]: an AEX storm on all three machines, injected by fuel
+     slicing at every [period]-th instruction. Stop parity is itself
+     under test — a fused superinstruction that ran past a slice's last
+     boundary would stop at a different architectural point and diverge
+     immediately.
    - [J_smc]: the driver additionally flips a code byte — the same byte,
      the same flip — in all three envs at stop boundaries, exercising
      page-generation invalidation, JIT deopt and rebuild. With RWX code
@@ -1251,28 +1254,12 @@ let mc_case _inj _shrink rng case =
      Reloads are transparent ELDUs driven off [Epc_miss], mirroring the
      LibOS pager. A faulted-and-retried data access double-charges the
      counters, but identically in every tier (data accesses are
-     architectural); code-fetch misses charge nothing. The interrupt
-     schedule is anchored to the instruction counter, not the consult
-     count, because retried boundaries legitimately re-consult — and
-     how often a tier refetches code is exactly what differs between
-     tiers. *)
+     architectural); code-fetch misses charge nothing. The slicing
+     schedule is anchored to the instruction counter, so a boundary
+     re-entered after a reload is not a new AEX — how often a tier
+     refetches code is exactly what differs between tiers. *)
 
 type jit_mode = J_plain | J_smc | J_epc
-
-(* Fires exactly once per boundary whose architectural instruction count
-   is a multiple of [period], no matter how many times that boundary is
-   consulted (quantum re-entry, post-reload retry). *)
-let intr_at_insns ?inj (cpu : Cpu.t) ~period =
-  let last = ref (-1) in
-  fun () ->
-    if cpu.Cpu.insns mod period = 0 && !last <> cpu.Cpu.insns then begin
-      last := cpu.Cpu.insns;
-      (match inj with
-      | Some i -> i.Inject.aex <- i.Inject.aex + 1
-      | None -> ());
-      true
-    end
-    else false
 
 let drive_triple ?inj ~mode ~perturb_seed ~code_perm oelf ~period ~fuel =
   let pool =
@@ -1293,19 +1280,6 @@ let drive_triple ?inj ~mode ~perturb_seed ~code_perm oelf ~period ~fuel =
   let cache_a = Decode_cache.create () and cache_b = Decode_cache.create () in
   (* threshold 2: generated loops are short, promotion must still happen *)
   let jit = Jit.create ~threshold:2 () in
-  let ia, ib, ic =
-    match mode with
-    | J_epc ->
-        ( intr_at_insns ?inj a.Exec.cpu ~period,
-          intr_at_insns b.Exec.cpu ~period,
-          intr_at_insns c.Exec.cpu ~period )
-    | J_plain | J_smc ->
-        ( (match inj with
-          | Some inj -> Inject.interrupt_every inj ~period
-          | None -> Inject.interrupt_silent ~period),
-          Inject.interrupt_silent ~period,
-          Inject.interrupt_silent ~period )
-  in
   let prng = Rng.of_seed perturb_seed in
   let pages = Mem.size a.Exec.mem / Mem.page_size in
   let perturb () =
@@ -1357,14 +1331,14 @@ let drive_triple ?inj ~mode ~perturb_seed ~code_perm oelf ~period ~fuel =
   in
   (* One env's run to its next architectural stop: an [Epc_miss] under
      [J_epc] is a pager event, not a sync point — reload and re-enter. *)
-  let run_one env cache jitopt intr =
+  let run_one ?inj env cache jitopt =
     let rec go () =
       let rem = fuel - env.Exec.cpu.Cpu.insns in
       if rem <= 0 then Interp.Stop_quantum
       else
         match
-          Interp.run ?cache ?jit:jitopt ~interrupt:intr env.Exec.mem
-            env.Exec.cpu ~fuel:rem
+          Interp.run ?cache ?jit:jitopt env.Exec.mem env.Exec.cpu
+            ~fuel:(aex_slice env.Exec.cpu ~period ~rem)
         with
         | Interp.Stop_fault (Fault.Epc_miss { addr; _ }) when pool <> None -> (
             match
@@ -1376,6 +1350,9 @@ let drive_triple ?inj ~mode ~perturb_seed ~code_perm oelf ~period ~fuel =
             | exception e ->
                 raise
                   (Diff ("transparent reload failed: " ^ Printexc.to_string e)))
+        | Interp.Stop_quantum ->
+            count_aex ?inj env.Exec.cpu ~period;
+            Interp.Stop_quantum
         | s -> s
     in
     go ()
@@ -1383,9 +1360,9 @@ let drive_triple ?inj ~mode ~perturb_seed ~code_perm oelf ~period ~fuel =
   let rec go () =
     if fuel - a.Exec.cpu.Cpu.insns <= 0 then final ()
     else begin
-      let sa = run_one a (Some cache_a) (Some jit) ia in
-      let sb = run_one b (Some cache_b) None ib in
-      let sc = run_one c None None ic in
+      let sa = run_one ?inj a (Some cache_a) (Some jit) in
+      let sb = run_one b (Some cache_b) None in
+      let sc = run_one c None None in
       if sa <> sb || sb <> sc then
         Error
           (Printf.sprintf "stops diverge: jit %s / cached %s / uncached %s"

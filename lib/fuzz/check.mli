@@ -8,7 +8,8 @@
       it decodes re-encodes to something that decodes back identically.
     - {b cache-equivalence}: the decoded-block-cached interpreter and the
       plain loop produce bit-identical architectural state, counters and
-      memory at every stop, under identical injected interrupt storms.
+      memory at every stop, under the same AEX storm injected by fuel
+      slicing.
     - {b verifier-soundness}: generator-well-formed programs are
       accepted; accepted programs (including hostile mutants and
       byte-flipped binaries that slip through) never violate pc/memory
@@ -38,9 +39,9 @@
       re-signed without re-verification.
     - {b jit-equivalence}: the block-JIT tier, the decode-cache tier and
       the uncached loop produce bit-identical architectural state,
-      counters and memory at every stop, under interrupt storms
-      (counter-based schedules, so a fused superinstruction that skipped
-      a boundary consultation diverges immediately), under
+      counters and memory at every stop, under AEX storms injected by
+      fuel slicing (so a fused superinstruction that ran past a slice's
+      last boundary diverges immediately), under
       self-modifying-code byte flips applied identically to all three
       machines (generation invalidation, deopt, rebuild), and under EPC
       pressure with driver-forced evictions reloaded transparently
@@ -77,7 +78,7 @@ type property =
           and accepted ones are never re-signed unverified *)
   | Jit_equivalence
       (** the JIT, decode-cache and uncached tiers are bit-equivalent at
-          every stop under interrupt storms, identical self-modifying
+          every stop under fuel-sliced AEX storms, identical self-modifying
           byte flips, and EPC pressure with transparent reloads *)
   | Cluster_orderliness
       (** the cluster lifecycle checker accepts every legal

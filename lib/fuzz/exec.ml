@@ -104,12 +104,7 @@ let audit env =
 
 type outcome = Exited | Faulted of Fault.t | Out_of_fuel
 
-let default_on_interrupt env =
-  Enclave.aex ~reason:"fuzz" env.enclave env.cpu;
-  Enclave.resume env.enclave env.cpu
-
-let run_contained ?(fuel = 20_000) ?interrupt
-    ?(on_interrupt = default_on_interrupt) env =
+let run_contained ?(fuel = 20_000) ?interrupt env =
   let cpu = env.cpu and mem = env.mem in
   let finish outcome =
     match audit env with None -> Ok outcome | Some v -> Error v
@@ -118,7 +113,9 @@ let run_contained ?(fuel = 20_000) ?interrupt
     if n = 0 then finish Out_of_fuel
     else begin
       (match interrupt with
-      | Some i when i () -> on_interrupt env
+      | Some i when i () ->
+          Enclave.aex ~reason:"fuzz" env.enclave env.cpu;
+          Enclave.resume env.enclave env.cpu
       | _ -> ());
       match Interp.step mem cpu with
       | Some Interp.Stop_syscall ->

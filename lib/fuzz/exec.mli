@@ -41,10 +41,6 @@ val make : ?epc:Occlum_sgx.Epc.t -> ?code_perm:Mem.perm -> Occlum_oelf.Oelf.t ->
     the code region's page permission; RX matches the LibOS loader and
     lets the block JIT compile non-fragile blocks. *)
 
-val in_code : env -> int -> bool
-val victim_intact : env -> bool
-val code_intact : env -> bool
-
 val audit : env -> violation option
 (** The end-of-run memory policy check (victim + code integrity). *)
 
@@ -56,12 +52,10 @@ type outcome =
 val run_contained :
   ?fuel:int ->
   ?interrupt:(unit -> bool) ->
-  ?on_interrupt:(env -> unit) ->
   env ->
   (outcome, violation) result
 (** Step instruction-by-instruction asserting pc containment after each,
     auditing the victim periodically, and emulating non-exit syscalls as
     "return 0" through the trampoline. [interrupt] is consulted once per
-    boundary; when it fires, [on_interrupt] (default: an
-    {!Occlum_sgx.Enclave.aex}/[resume] round trip) runs before the
-    instruction executes. *)
+    boundary; when it fires, an {!Occlum_sgx.Enclave.aex}/[resume] round
+    trip runs before the instruction executes. *)

@@ -7,23 +7,14 @@ type t = {
 
 let make () = { aex = 0; epc = 0; io = 0; chan = 0 }
 
-let interrupt_every t ~period =
+let interrupt_every ?inj ~period () =
   if period < 1 then invalid_arg "Inject.interrupt_every";
   let n = ref 0 in
   fun () ->
     incr n;
-    if !n mod period = 0 then begin
-      t.aex <- t.aex + 1;
-      true
-    end
-    else false
-
-let interrupt_silent ~period =
-  if period < 1 then invalid_arg "Inject.interrupt_silent";
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    !n mod period = 0
+    let fire = !n mod period = 0 in
+    (match inj with Some t when fire -> t.aex <- t.aex + 1 | _ -> ());
+    fire
 
 let arm_epc t ~at =
   if at < 1 then invalid_arg "Inject.arm_epc";

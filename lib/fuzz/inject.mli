@@ -1,5 +1,7 @@
 (** Deterministic fault-injection plans, threaded into the production
-    seams: interrupt hooks in {!Occlum_machine.Interp.run} (forced AEX),
+    seams: per-step interrupt schedules for harness loops that single-step
+    {!Occlum_machine.Interp.step} (forced AEX; loops built on
+    {!Occlum_machine.Interp.run} inject AEX by fuel slicing instead),
     the {!Occlum_sgx.Epc} allocation hook (EPC exhaustion at the k-th
     allocation), the {!Occlum_libos.Sefs}/{!Occlum_libos.Net} I/O
     hooks (transient errors, short transfers), and the
@@ -17,16 +19,14 @@ type t = {
 
 val make : unit -> t
 
-val interrupt_every : t -> period:int -> unit -> bool
-(** A fresh interrupt schedule firing at every [period]-th instruction
-    boundary ([period = 1] is the interrupt storm: an AEX at {e every}
-    boundary). Schedules are pure counters, so two instances with the
-    same period fire at identical boundaries — the contract the
-    cached-vs-uncached equivalence property depends on. *)
-
-val interrupt_silent : period:int -> unit -> bool
-(** Same schedule shape without counting — for the twin of a
-    differential pair, so the plan counts each boundary once. *)
+val interrupt_every : ?inj:t -> period:int -> unit -> unit -> bool
+(** A fresh interrupt schedule for a single-stepping harness loop, consulted
+    once per instruction boundary and firing at every [period]-th
+    ([period = 1] is the interrupt storm: an AEX at {e every} boundary).
+    Schedules are pure counters, so two instances with the same period
+    fire at identical boundaries. Firings are counted into [inj] when
+    given — pass it on one side of a differential pair only, so the plan
+    counts each boundary once. *)
 
 val arm_epc : t -> at:int -> unit
 (** Make the [at]-th EPC allocation (1-based, platform-wide) raise

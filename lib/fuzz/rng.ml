@@ -40,8 +40,6 @@ let split t =
   let gamma = mix_gamma (next t) in
   { state; gamma }
 
-let copy t = { state = t.state; gamma = t.gamma }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* mask to 62 bits so the Int64 -> int conversion stays non-negative *)

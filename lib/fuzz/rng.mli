@@ -12,9 +12,6 @@ val of_seed : int64 -> t
 val split : t -> t
 (** A statistically independent stream. Advances [t] by two draws. *)
 
-val copy : t -> t
-(** A stream that will produce exactly the same draws as [t]. *)
-
 val next : t -> int64
 
 val int : t -> int -> int
@@ -29,7 +26,5 @@ val chance : t -> int -> int -> bool
 (** [chance t k n] is true with probability [k/n]. *)
 
 val choose : t -> 'a array -> 'a
-
-val byte : t -> char
 
 val bytes : t -> int -> Bytes.t

@@ -77,9 +77,14 @@ module Host_store = struct
           pos := e + 1;
           l
     in
+    let int_field what l =
+      match int_of_string_opt l with
+      | Some n -> n
+      | None -> raise (Bad_image ("bad " ^ what))
+    in
     let blob () =
-      let n = try int_of_string (line ()) with _ -> raise (Bad_image "bad length") in
-      if n < 0 || !pos + n > String.length s then raise (Bad_image "bad blob");
+      let n = int_field "length" (line ()) in
+      if n < 0 || n > String.length s - !pos then raise (Bad_image "bad blob");
       let r = String.sub s !pos n in
       pos := !pos + n;
       r
@@ -91,11 +96,11 @@ module Host_store = struct
     | [ "1"; gen ] ->
         let cipher = blob () in
         let mac = blob () in
-        t.meta <- Some (int_of_string gen, { cipher; mac })
+        t.meta <- Some (int_field "generation" gen, { cipher; mac })
     | _ -> raise (Bad_image "bad meta header"));
-    let nblocks = try int_of_string (line ()) with _ -> raise (Bad_image "bad count") in
+    let nblocks = int_field "count" (line ()) in
     for _ = 1 to nblocks do
-      let idx = try int_of_string (line ()) with _ -> raise (Bad_image "bad index") in
+      let idx = int_field "index" (line ()) in
       let cipher = blob () in
       let mac = blob () in
       Hashtbl.replace t.blocks idx { cipher; mac }

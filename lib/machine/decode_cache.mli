@@ -25,8 +25,6 @@ val create : ?max_block_insns:int -> ?max_blocks:int -> unit -> t
 (** Defaults: blocks of at most 64 instructions, 16384 cached blocks
     (the table is flushed wholesale when full). *)
 
-val clear : t -> unit
-
 val block_valid : Mem.t -> block -> bool
 (** The block's generation snapshot still matches memory. *)
 

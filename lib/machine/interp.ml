@@ -299,22 +299,6 @@ let run_uncached mem cpu ~fuel =
   in
   loop fuel
 
-(* The interrupt-injected uncached loop (fault-injection testing). The
-   hook is consulted exactly once per instruction boundary, after the
-   fuel check and before the fetch; firing preempts the SIP exactly as
-   quantum expiry would (an injected timer interrupt -> AEX). Kept as a
-   separate loop so the production path above stays branch-free. *)
-let run_uncached_intr intr mem cpu ~fuel =
-  let rec loop fuel =
-    if fuel <= 0 then Stop_quantum
-    else if intr () then Stop_quantum
-    else
-      match step mem cpu with
-      | Some stop -> stop
-      | None -> loop (fuel - 1)
-  in
-  loop fuel
-
 (* The cached loop. Executable-span checks are elided for cached
    instructions: block validity (unchanged page generations) implies the
    span still decodes and is still executable, exactly as at build time.
@@ -380,68 +364,6 @@ let run_cached cache obs mem cpu ~fuel =
     go 0 b.entry fuel
   in
   loop fuel
-
-(* Interrupt-injected mirror of [run_cached]. The contract shared with
-   [run_uncached_intr]: the hook is consulted exactly once per executed
-   instruction boundary — after the boundary's fuel check, before its
-   fetch/replay — in every path (block replay, fallback single-step), so
-   a deterministic counter-based schedule fires at identical boundaries
-   cached and uncached. Firing returns [Stop_quantum] with the pc parked
-   on the boundary, exactly like fuel expiry. *)
-let run_cached_intr intr cache obs mem cpu ~fuel =
-  let c0 = cpu.Cpu.cycles in
-  let base_ns = obs.Occlum_obs.Obs.now () in
-  let ts () = Int64.add base_ns (Int64.of_int ((cpu.Cpu.cycles - c0) / 3)) in
-  let rec loop fuel =
-    if fuel <= 0 then Stop_quantum
-    else
-      match Decode_cache.lookup cache mem cpu.Cpu.pc with
-      | Decode_cache.Hit b ->
-          cpu.Cpu.dcache_hits <- cpu.Cpu.dcache_hits + 1;
-          if obs.Occlum_obs.Obs.t_dcache then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Dcache_hit { pc = cpu.Cpu.pc });
-          exec_block b fuel
-      | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
-          if r = Decode_cache.Stale then begin
-            cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
-            if obs.Occlum_obs.Obs.t_dcache then
-              Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                (Occlum_obs.Trace.Dcache_invalidate { pc = cpu.Cpu.pc })
-          end;
-          cpu.Cpu.dcache_misses <- cpu.Cpu.dcache_misses + 1;
-          if obs.Occlum_obs.Obs.t_dcache then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Dcache_miss { pc = cpu.Cpu.pc });
-          match Decode_cache.build cache mem cpu.Cpu.pc with
-          | Some b -> exec_block b fuel
-          | None -> (
-              if intr () then Stop_quantum
-              else
-                match step mem cpu with
-                | Some stop -> stop
-                | None -> loop (fuel - 1)))
-  and exec_block (b : Decode_cache.block) fuel =
-    let n = Array.length b.insns in
-    let rec go i pc fuel =
-      if fuel <= 0 then Stop_quantum
-      else if i >= n then loop fuel
-      else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
-        (* refetch, not a new boundary: the intr consult happens once the
-           instruction is actually about to execute (go 0 after loop) *)
-        loop fuel
-      else if intr () then Stop_quantum
-      else
-        let insn, len = b.insns.(i) in
-        match exec_decoded mem cpu insn ~pc ~len with
-        | Some stop -> stop
-        | None -> go (i + 1) (pc + len) (fuel - 1)
-    in
-    go 0 b.entry fuel
-  in
-  loop fuel
-
-let never () = false
 
 (* The JIT tier. Dispatch order per block boundary: compiled code →
    decode cache (promoting blocks that have replayed [Jit]'s threshold
@@ -570,7 +492,7 @@ let run_jit jit cache obs mem cpu ~fuel =
         let k = c.Jit.unit_insns.(u) in
         match
           if fuel >= k then c.Jit.units_fast.(u) mem cpu
-          else c.Jit.units_safe.(u) mem cpu fuel never
+          else c.Jit.units_safe.(u) mem cpu fuel
         with
         | Jit.U_fall -> go (u + 1) (fuel - k)
         | Jit.U_stop s -> s
@@ -585,142 +507,9 @@ let run_jit jit cache obs mem cpu ~fuel =
   in
   loop fuel
 
-(* Interrupt-injected mirror of [run_jit]: same boundary contract as
-   [run_cached_intr]. Compiled units always run their [safe] variant,
-   which consults the hook at every internal instruction boundary, so
-   superinstruction fusion can never skip a sync point; the outer loop
-   consults it for each unit's first boundary. *)
-let run_jit_intr intr jit cache obs mem cpu ~fuel =
-  let c0 = cpu.Cpu.cycles in
-  let base_ns = obs.Occlum_obs.Obs.now () in
-  let ts () = Int64.add base_ns (Int64.of_int ((cpu.Cpu.cycles - c0) / 3)) in
-  let rec loop fuel =
-    if fuel <= 0 then Stop_quantum
-    else
-      match Jit.lookup jit mem cpu.Cpu.pc with
-      | Jit.Hit c ->
-          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
-          exec_compiled c fuel
-      | Jit.Stale ->
-          cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_invalidate { pc = cpu.Cpu.pc });
-          decoded_tier fuel
-      | Jit.Miss -> decoded_tier fuel
-  and decoded_tier fuel =
-    match Decode_cache.lookup cache mem cpu.Cpu.pc with
-    | Decode_cache.Hit b ->
-        cpu.Cpu.dcache_hits <- cpu.Cpu.dcache_hits + 1;
-        if obs.Occlum_obs.Obs.t_dcache then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Dcache_hit { pc = cpu.Cpu.pc });
-        if Jit.hot_enough jit b then begin
-          let c = Jit.promote jit b in
-          cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_compile { pc = cpu.Cpu.pc });
-          exec_compiled c fuel
-        end
-        else exec_block b fuel
-    | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
-        if r = Decode_cache.Stale then begin
-          cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
-          if obs.Occlum_obs.Obs.t_dcache then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Dcache_invalidate { pc = cpu.Cpu.pc })
-        end;
-        cpu.Cpu.dcache_misses <- cpu.Cpu.dcache_misses + 1;
-        if obs.Occlum_obs.Obs.t_dcache then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Dcache_miss { pc = cpu.Cpu.pc });
-        match Decode_cache.build cache mem cpu.Cpu.pc with
-        | Some b ->
-            if Jit.hot_enough jit b then begin
-              let c = Jit.promote jit b in
-              cpu.Cpu.jit_compiles <- cpu.Cpu.jit_compiles + 1;
-              if obs.Occlum_obs.Obs.t_jit then
-                Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                  (Occlum_obs.Trace.Jit_compile { pc = cpu.Cpu.pc });
-              exec_compiled c fuel
-            end
-            else exec_block b fuel
-        | None -> (
-            if intr () then Stop_quantum
-            else
-              match step mem cpu with
-              | Some stop -> stop
-              | None -> loop (fuel - 1)))
-  and exec_block (b : Decode_cache.block) fuel =
-    let n = Array.length b.insns in
-    let rec go i pc fuel =
-      if fuel <= 0 then Stop_quantum
-      else if i >= n then loop fuel
-      else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
-        loop fuel
-      else if intr () then Stop_quantum
-      else
-        let insn, len = b.insns.(i) in
-        match exec_decoded mem cpu insn ~pc ~len with
-        | Some stop -> stop
-        | None -> go (i + 1) (pc + len) (fuel - 1)
-    in
-    go 0 b.entry fuel
-  and exec_compiled (c : Jit.compiled) fuel =
-    let n = Array.length c.Jit.units_fast in
-    let rec go u fuel =
-      if fuel <= 0 then Stop_quantum
-      else if u >= n then
-        (* self-loop re-entry; the hook is still consulted at the top of
-           unit 0 below, so the boundary contract is preserved *)
-        if
-          cpu.Cpu.pc = c.Jit.entry
-          && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
-        then begin
-          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          Jit.note_hit jit;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
-          go 0 fuel
-        end
-        else loop fuel
-      else if
-        c.Jit.fragile && u > 0 && not (Decode_cache.block_valid mem c.Jit.src)
-      then begin
-        cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-        if obs.Occlum_obs.Obs.t_jit then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
-        loop fuel
-      end
-      else if intr () then Stop_quantum
-      else
-        let k = c.Jit.unit_insns.(u) in
-        match c.Jit.units_safe.(u) mem cpu fuel intr with
-        | Jit.U_fall -> go (u + 1) (fuel - k)
-        | Jit.U_stop s -> s
-        | exception Fault.Fault f ->
-            cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-            if obs.Occlum_obs.Obs.t_jit then
-              Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
-            Stop_fault f
-    in
-    go 0 fuel
-  in
-  loop fuel
-
-let run ?cache ?jit ?(obs = Occlum_obs.Obs.disabled) ?interrupt mem cpu ~fuel =
-  match (cache, jit, interrupt) with
-  | None, None, None -> run_uncached mem cpu ~fuel
-  | None, None, Some i -> run_uncached_intr i mem cpu ~fuel
-  | Some c, None, None -> run_cached c obs mem cpu ~fuel
-  | Some c, None, Some i -> run_cached_intr i c obs mem cpu ~fuel
-  | Some c, Some j, None -> run_jit j c obs mem cpu ~fuel
-  | Some c, Some j, Some i -> run_jit_intr i j c obs mem cpu ~fuel
-  | None, Some _, _ -> invalid_arg "Interp.run: ?jit requires ?cache"
+let run ?cache ?jit ?(obs = Occlum_obs.Obs.disabled) mem cpu ~fuel =
+  match (cache, jit) with
+  | None, None -> run_uncached mem cpu ~fuel
+  | Some c, None -> run_cached c obs mem cpu ~fuel
+  | Some c, Some j -> run_jit j c obs mem cpu ~fuel
+  | None, Some _ -> invalid_arg "Interp.run: ?jit requires ?cache"

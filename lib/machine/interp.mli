@@ -16,7 +16,6 @@ val run :
   ?cache:Decode_cache.t ->
   ?jit:Jit.t ->
   ?obs:Occlum_obs.Obs.t ->
-  ?interrupt:(unit -> bool) ->
   Mem.t ->
   Cpu.t ->
   fuel:int ->
@@ -48,11 +47,9 @@ val run :
     the [Dcache] class is enabled. Observability never alters
     architectural state, counters or cycle charges.
 
-    With [?interrupt], the hook is consulted exactly once per executed
-    instruction boundary — after that boundary's fuel check, before its
-    fetch — in both the cached and uncached loops, so a deterministic
-    counter-based schedule fires at identical boundaries either way.
-    Returning [true] preempts the run with [Stop_quantum] and the pc
-    parked on the boundary, modelling a hardware interrupt (the AEX
-    cause); the fault-injection harness uses this to force AEX storms.
-    The hook is absent on the production path, which stays branch-free. *)
+    Fuel is the only preemption source: when it runs out the run
+    returns [Stop_quantum] with the pc parked on the boundary, modelling
+    the timer interrupt that forces an AEX. The fault-injection harness
+    injects AEX by fuel slicing — each call gets fuel up to the next
+    scheduled boundary — so a schedule anchored on {!Cpu.t} [insns]
+    stops every tier at identical boundaries. *)

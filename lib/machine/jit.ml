@@ -16,10 +16,10 @@
    effects exactly — the same counter charges in the same order, the
    same fault payloads and fault-atomicity, the same pc parking. Two
    closure variants exist per unit: [fast] (no internal checks; run only
-   when the remaining fuel covers the whole unit and no interrupt hook
-   is armed) and [safe] (re-checks fuel and consults the interrupt hook
-   at every internal instruction boundary, preserving the interpreter's
-   exactly-once-per-boundary AEX contract).
+   when the remaining fuel covers the whole unit) and [safe] (re-checks
+   fuel at every internal instruction boundary, so quantum expiry — the
+   modelled timer interrupt, and the way the fuzz harness injects AEX by
+   fuel slicing — parks the pc on the same boundary as the interpreter).
 
    Invalidation mirrors the decode cache: a compiled block keeps its
    source block's page-generation snapshot and is dropped when a lookup
@@ -48,10 +48,9 @@ type ustat = U_fall | U_stop of stop
 type body = Mem.t -> Cpu.t -> ustat
 (* one translated instruction: charge, execute, park pc; faults raise *)
 
-type unit_fn = Mem.t -> Cpu.t -> int -> (unit -> bool) -> ustat
-(* a unit with internal boundary checks: fuel remaining before the
-   unit's first instruction, and the interrupt hook to consult at each
-   internal boundary *)
+type unit_fn = Mem.t -> Cpu.t -> int -> ustat
+(* a unit with internal boundary checks, given the fuel remaining
+   before the unit's first instruction *)
 
 type compiled = {
   entry : int;
@@ -100,8 +99,6 @@ let clear_elide_facts t ~lo ~hi =
       t.elidable []
   in
   List.iter (fun a -> Hashtbl.remove t.elidable a) doomed
-
-let elide_fact_count t = Hashtbl.length t.elidable
 
 (* ---- translation helpers (must mirror Interp exactly) ---- *)
 
@@ -498,27 +495,31 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
 
 (* ---- superinstructions ---- *)
 
-(* Straight-line chains: the fast variant runs the bodies back to back;
-   the safe variant re-checks fuel and consults the interrupt hook at
-   each internal boundary, exactly where the cached interpreter would.
-   Before body j (0-based) the remaining fuel is [fuel - j]. *)
+(* Generic safe chain over per-instruction bodies: before body j (j >= 1)
+   the remaining fuel is [fuel - j], so quantum expiry parks the pc on
+   the same internal boundary as the cached interpreter. *)
+let safe_of_bodies (bs : body array) : unit_fn =
+  let n = Array.length bs in
+  fun mem cpu fuel ->
+    let rec go j =
+      if j > 0 && fuel <= j then U_stop Stop_quantum
+      else
+        match bs.(j) mem cpu with
+        | U_fall -> if j + 1 < n then go (j + 1) else U_fall
+        | s -> s
+    in
+    go 0
 
-let single (b0 : body) : body * unit_fn =
-  (b0, fun mem cpu _ _ -> b0 mem cpu)
+(* Straight-line chains: the fast variant runs the bodies back to back;
+   the safe variant is the generic chain above. *)
+
+let single (b0 : body) : body * unit_fn = (b0, fun mem cpu _ -> b0 mem cpu)
 
 let chain2 b0 b1 : body * unit_fn =
   let fast mem cpu =
     match b0 mem cpu with U_fall -> b1 mem cpu | s -> s
   in
-  let safe mem cpu fuel intr =
-    match b0 mem cpu with
-    | U_fall ->
-        if fuel <= 1 then U_stop Stop_quantum
-        else if intr () then U_stop Stop_quantum
-        else b1 mem cpu
-    | s -> s
-  in
-  (fast, safe)
+  (fast, safe_of_bodies [| b0; b1 |])
 
 let chain3 b0 b1 b2 : body * unit_fn =
   let fast mem cpu =
@@ -527,21 +528,7 @@ let chain3 b0 b1 b2 : body * unit_fn =
         match b1 mem cpu with U_fall -> b2 mem cpu | s -> s)
     | s -> s
   in
-  let safe mem cpu fuel intr =
-    match b0 mem cpu with
-    | U_fall ->
-        if fuel <= 1 then U_stop Stop_quantum
-        else if intr () then U_stop Stop_quantum
-        else (
-          match b1 mem cpu with
-          | U_fall ->
-              if fuel <= 2 then U_stop Stop_quantum
-              else if intr () then U_stop Stop_quantum
-              else b2 mem cpu
-          | s -> s)
-    | s -> s
-  in
-  (fast, safe)
+  (fast, safe_of_bodies [| b0; b1; b2 |])
 
 let chain4 b0 b1 b2 b3 : body * unit_fn =
   let fast mem cpu =
@@ -553,27 +540,7 @@ let chain4 b0 b1 b2 b3 : body * unit_fn =
         | s -> s)
     | s -> s
   in
-  let safe mem cpu fuel intr =
-    match b0 mem cpu with
-    | U_fall ->
-        if fuel <= 1 then U_stop Stop_quantum
-        else if intr () then U_stop Stop_quantum
-        else (
-          match b1 mem cpu with
-          | U_fall ->
-              if fuel <= 2 then U_stop Stop_quantum
-              else if intr () then U_stop Stop_quantum
-              else (
-                match b2 mem cpu with
-                | U_fall ->
-                    if fuel <= 3 then U_stop Stop_quantum
-                    else if intr () then U_stop Stop_quantum
-                    else b3 mem cpu
-                | s -> s)
-          | s -> s)
-    | s -> s
-  in
-  (fast, safe)
+  (fast, safe_of_bodies [| b0; b1; b2; b3 |])
 
 (* guard+memory superinstruction: a bndcl/bndcu over a Sib/Abs operand
    followed by a load/store/guard with the structurally identical
@@ -658,11 +625,9 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
     let a = part1 cpu in
     part2 mem cpu a
   in
-  let safe mem cpu fuel intr =
+  let safe mem cpu fuel =
     let a = part1 cpu in
-    if fuel <= 1 then U_stop Stop_quantum
-    else if intr () then U_stop Stop_quantum
-    else part2 mem cpu a
+    if fuel <= 1 then U_stop Stop_quantum else part2 mem cpu a
   in
   (fast, safe)
 
@@ -673,8 +638,8 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
    parking. A maximal run of such instructions compiles into one fast
    unit that charges [insns]/[cycles] in bulk and executes the cores
    back to back — legal because the fast variant only runs when the
-   remaining fuel covers the whole unit and no interrupt hook is armed,
-   so there is no observation point inside the run. The safe variant is
+   remaining fuel covers the whole unit, so there is no observation
+   point inside the run. The safe variant is
    built from the ordinary per-instruction bodies. *)
 let core_of (insn : Insn.t) ~pc : (Cpu.t -> unit) option =
   match insn with
@@ -815,21 +780,6 @@ let rec seq_cores = function
         e cpu;
         f cpu;
         g cpu
-
-(* Generic safe chain over per-instruction bodies: before body j (j >= 1)
-   the remaining fuel is [fuel - j]; check order matches chainN. *)
-let safe_of_bodies (bs : body array) : unit_fn =
-  let n = Array.length bs in
-  fun mem cpu fuel intr ->
-    let rec go j =
-      if j > 0 && fuel <= j then U_stop Stop_quantum
-      else if j > 0 && intr () then U_stop Stop_quantum
-      else
-        match bs.(j) mem cpu with
-        | U_fall -> if j + 1 < n then go (j + 1) else U_fall
-        | s -> s
-    in
-    go 0
 
 let pure_unit ~(cores : (Cpu.t -> unit) list) ~(bodies : body array) ~k
     ~total_cost : body * unit_fn =

@@ -6,9 +6,10 @@
     unit — and replayed by {!Interp.run} when [?jit] is passed.
 
     Every unit exists in two variants: [fast] (no internal checks; used
-    only when the remaining fuel covers the whole unit and no interrupt
-    hook is armed) and [safe] (re-checks fuel and consults the interrupt
-    hook at every internal instruction boundary). Compiled blocks reuse
+    only when the remaining fuel covers the whole unit) and [safe]
+    (re-checks fuel at every internal instruction boundary, so quantum
+    expiry — and AEX injected by fuel slicing — stops mid-unit on the
+    same boundary as the interpreter). Compiled blocks reuse
     the source block's page-generation snapshot for invalidation, and
     blocks on writable+executable pages compile to single-instruction
     units so the interpreter can revalidate between instructions.
@@ -32,10 +33,9 @@ type body = Mem.t -> Cpu.t -> ustat
 (** One translated instruction (or a fast whole unit): charges counters,
     executes, parks pc. Faults raise {!Fault.Fault}. *)
 
-type unit_fn = Mem.t -> Cpu.t -> int -> (unit -> bool) -> ustat
-(** Safe unit: [f mem cpu fuel intr] with [fuel] the remaining fuel
-    before the unit's first instruction and [intr] the interrupt hook
-    consulted at each internal boundary. *)
+type unit_fn = Mem.t -> Cpu.t -> int -> ustat
+(** Safe unit: [f mem cpu fuel] with [fuel] the remaining fuel before
+    the unit's first instruction. *)
 
 type compiled = {
   entry : int;
@@ -62,16 +62,11 @@ val create : ?threshold:int -> ?max_blocks:int -> ?elide:(int, unit) Hashtbl.t -
     code for those addresses exists (the LibOS registers facts at load
     time, before the code runs). *)
 
-val clear : t -> unit
-(** Drop all compiled code (elision facts are kept). *)
-
 val elide_fact : t -> addr:int -> unit
 (** Mark the guard at absolute [addr] safe to skip at translation time. *)
 
 val clear_elide_facts : t -> lo:int -> hi:int -> unit
 (** Drop facts with [lo <= addr < hi] (e.g. on domain-slot reuse). *)
-
-val elide_fact_count : t -> int
 
 val compile : t -> Decode_cache.block -> compiled
 (** Translate a block (total: every opcode compiles, privileged ones to

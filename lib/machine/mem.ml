@@ -52,7 +52,6 @@ let enable_paging t ~pager =
   t.paged <- true;
   t.pager <- Some pager
 
-let paging_enabled t = t.paged
 let page_resident t page = (not t.paged) || Bytes.get t.resident page = '\x01'
 
 let set_resident t page r =

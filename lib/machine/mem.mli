@@ -57,8 +57,6 @@ val enable_paging : t -> pager:(int -> unit) -> unit
 (** [pager page] must make [page] resident (ELDU or zero-fill commit)
     or raise; it is invoked by the privileged accessors. *)
 
-val paging_enabled : t -> bool
-
 val page_resident : t -> int -> bool
 (** Always true when paging is disabled. *)
 

@@ -10,7 +10,8 @@
 #
 # How CI slices this script (.github/workflows/ci.yml):
 #   - `test` runs the whole script (build, tests, CT gate, paging smoke,
-#     fuzz smoke, bench + baseline compare) per compiler.
+#     fuzz smoke, repo benchmark smoke, bench + baseline compare) per
+#     compiler.
 #   - `cores` runs the multi-core determinism differential below plus
 #     the multicore bench section, and uploads bench-multicore-<compiler>.
 #   - `cluster` runs the cluster console smoke below plus the cluster
@@ -163,12 +164,32 @@ grep -q "epoch 2" _build/cluster-fault.txt || {
 }
 
 # Bounded fuzz smoke: 200 cases of every property under the injected
-# interrupt storm, with a fixed seed so the JSON report (a CI artifact)
-# is bit-reproducible — a failing run prints the shrunk reproducer.
+# AEX storm (fuel slicing for the cache/jit differentials, per-step
+# interrupt schedules for the single-stepping properties), with a fixed
+# seed so the JSON report (a CI artifact) is bit-reproducible — a
+# failing run prints the shrunk reproducer.
 # This covers cluster-orderliness (property #9): hostile lifecycle
 # sequences against the orderliness monitor, zero false accepts.
 dune exec bin/occlum_fuzz.exe -- --seed 42 --cases 200 --shrink \
   --json _build/fuzz-report.json
+
+# Repo benchmark smoke: one short seeded run of each perfbench workload,
+# so a lib/ API change cannot break the benchmark unnoticed. The last
+# stdout line is the JSON result; it must report a correct run with no
+# failed operations.
+for w in fish gcc c10k hackbench; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
+    > "_build/perfbench-$w.txt"
+  python3 - "$w" "_build/perfbench-$w.txt" <<'EOF'
+import json, sys
+w, path = sys.argv[1], sys.argv[2]
+lines = open(path).read().splitlines()
+r = json.loads(lines[-1]) if lines else {}
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("FAIL: perfbench %s: correct=%r failed=%r"
+             % (w, r.get("correct"), r.get("failed")))
+EOF
+done
 
 dune exec bench/main.exe -- --only=micro,paging,serving,multicore,guards,jit,cluster \
   --json _build/bench-micro.json

@@ -2,9 +2,9 @@
    identical to both the decode-cache tier and the uncached loop — same
    registers, flags, counters, fault payloads and stop boundaries — and
    its extras must hold: per-page invalidation after writes to JIT'd
-   pages, mid-block fault deopt with bit-identical CPU state, one
-   interrupt consultation per original-instruction boundary even inside
-   fused superinstructions, translation-time guard elision matching the
+   pages, mid-block fault deopt with bit-identical CPU state, quantum
+   expiry on every original-instruction boundary even inside fused
+   superinstructions, translation-time guard elision matching the
    statically elided binary's dynamic check counts, and multi-core
    LibOS determinism with the JIT on. *)
 
@@ -242,51 +242,56 @@ let test_midblock_fault_identity () =
   Alcotest.(check bool) "fault deopted out of compiled code" true
     (cpu_j.Cpu.jit_deopts >= 1)
 
-(* --- interrupt consultation parity ----------------------------------------- *)
+(* --- quantum expiry at every boundary ---------------------------------------- *)
 
-(* [?interrupt] is specified to be consulted exactly once per executed
-   instruction boundary. The fused superinstructions are where that can
-   silently break, so: (a) the total consult count must match the
-   uncached loop's, and (b) an interrupt armed at EVERY boundary index
-   in turn must stop the JIT run bit-identically, and both runs must
-   resume to the same completion. *)
-let test_interrupt_every_boundary () =
+(* The fuzz harness injects AEX by fuel slicing, so quantum expiry must
+   land on every original-instruction boundary even inside the fused
+   units a zero-threshold JIT runs from the first execution: (a) for
+   every boundary i, a run with [~fuel:i] must stop bit-identically to
+   the uncached loop and resume to the same completion, and (b) a
+   period-1 slicing run must match the uncached loop after every stop. *)
+let test_quantum_every_boundary () =
   let prog = loop_prog 20 in
-  let run_tier ~jit fire_at =
+  let tier ~jit =
     let mem, cpu = setup ~code_perm:Mem.perm_rx prog in
     let cache = if jit then Some (Decode_cache.create ()) else None in
     let j = if jit then Some (Jit.create ~threshold:0 ()) else None in
-    let n = ref 0 in
-    let hook () =
-      let k = !n in
-      incr n;
-      match fire_at with Some i -> k = i | None -> false
-    in
-    let s1 = Interp.run ?cache ?jit:j ~interrupt:hook mem cpu ~fuel:100_000 in
-    let mid = state_str s1 cpu in
-    let s2 =
-      if s1 = Interp.Stop_syscall then s1
-      else Interp.run ?cache ?jit:j ~interrupt:hook mem cpu ~fuel:100_000
-    in
-    (mid, state_str s2 cpu, !n)
+    ((fun fuel -> Interp.run ?cache ?jit:j mem cpu ~fuel), cpu)
   in
-  let mu, fu, nu = run_tier ~jit:false None in
-  let mj, fj, nj = run_tier ~jit:true None in
-  Alcotest.(check string) "unfired runs agree" (mu ^ fu) (mj ^ fj);
-  Alcotest.(check int) "one consult per instruction boundary" nu nj;
-  for i = 0 to nu - 1 do
-    let mu, fu, nu' = run_tier ~jit:false (Some i) in
-    let mj, fj, nj' = run_tier ~jit:true (Some i) in
+  let split ~jit i =
+    let run, cpu = tier ~jit in
+    let s1 = run i in
+    let mid = state_str s1 cpu in
+    let s2 = if s1 = Interp.Stop_syscall then s1 else run 100_000 in
+    (mid, state_str s2 cpu)
+  in
+  let n =
+    let run, cpu = tier ~jit:false in
+    ignore (run 100_000);
+    cpu.Cpu.insns
+  in
+  for i = 0 to n do
+    let mu, fu = split ~jit:false i in
+    let mj, fj = split ~jit:true i in
     Alcotest.(check string)
-      (Printf.sprintf "interrupt at boundary %d: identical stop" i)
+      (Printf.sprintf "quantum at boundary %d: identical stop" i)
       mu mj;
     Alcotest.(check string)
-      (Printf.sprintf "interrupt at boundary %d: identical completion" i)
-      fu fj;
-    Alcotest.(check int)
-      (Printf.sprintf "interrupt at boundary %d: same consult count" i)
-      nu' nj'
-  done
+      (Printf.sprintf "quantum at boundary %d: identical completion" i)
+      fu fj
+  done;
+  let run_u, cpu_u = tier ~jit:false and run_j, cpu_j = tier ~jit:true in
+  let rec slice k =
+    let su = run_u 1 and sj = run_j 1 in
+    Alcotest.(check string)
+      (Printf.sprintf "period-1 slice %d" k)
+      (state_str su cpu_u) (state_str sj cpu_j);
+    if su = Interp.Stop_quantum && k < n then slice (k + 1)
+  in
+  slice 0;
+  Alcotest.(check int) "period-1 slicing reached the syscall" n
+    cpu_j.Cpu.insns;
+  Alcotest.(check bool) "ran compiled" true (cpu_j.Cpu.jit_compiles > 0)
 
 (* --- LibOS: multi-core determinism and stats -------------------------------- *)
 
@@ -341,8 +346,8 @@ let suite =
       test_priv_write_invalidates;
     Alcotest.test_case "mid-block fault deopts bit-identically" `Quick
       test_midblock_fault_identity;
-    Alcotest.test_case "interrupt at every boundary" `Quick
-      test_interrupt_every_boundary;
+    Alcotest.test_case "quantum at every boundary" `Quick
+      test_quantum_every_boundary;
     Alcotest.test_case "LibOS: jit on/off identical + stats" `Quick
       test_libos_jit_on_off_identical;
     Alcotest.test_case "multi-core digest with jit" `Quick

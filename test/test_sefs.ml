@@ -223,10 +223,59 @@ let test_image_roundtrip () =
   | exception Sefs.Host_store.Bad_image _ -> ()
   | _ -> Alcotest.fail "truncated image accepted"
 
+(* Offsets of every byte on the image's text lines (magic, meta header,
+   blob lengths, block count and indices): all but the blob payloads. *)
+let header_offsets img =
+  let offs = ref [] and pos = ref 0 in
+  let line () =
+    let e = String.index_from img !pos '\n' in
+    for i = !pos to e do
+      offs := i :: !offs
+    done;
+    let l = String.sub img !pos (e - !pos) in
+    pos := e + 1;
+    l
+  in
+  let blob () = pos := !pos + int_of_string (line ()) in
+  ignore (line ());
+  if line () <> "0" then (blob (); blob ());
+  for _ = 1 to int_of_string (line ()) do
+    ignore (line ());
+    blob ();
+    blob ()
+  done;
+  List.rev !offs
+
+let test_image_header_mutations () =
+  (* a hostile host may hand over any bytes: every single-byte change to
+     a header line must load or be rejected as [Bad_image], never escape
+     as another exception *)
+  let t = fresh () in
+  wr t "/f" "header fuzz";
+  Sefs.flush t;
+  let img = Sefs.Host_store.to_string t.Sefs.host in
+  List.iter
+    (fun i ->
+      for v = 0 to 255 do
+        if Char.chr v <> img.[i] then begin
+          let b = Bytes.of_string img in
+          Bytes.set b i (Char.chr v);
+          match Sefs.Host_store.of_string (Bytes.to_string b) with
+          | _ | (exception Sefs.Host_store.Bad_image _) -> ()
+          | exception e ->
+              Alcotest.fail
+                (Printf.sprintf "byte %d := %d raised %s" i v
+                   (Printexc.to_string e))
+        end
+      done)
+    (header_offsets img)
+
 let suite =
   [
     Alcotest.test_case "basic files" `Quick test_basic_files;
     Alcotest.test_case "host image roundtrip" `Quick test_image_roundtrip;
+    Alcotest.test_case "host image header mutations" `Quick
+      test_image_header_mutations;
     Alcotest.test_case "directories" `Quick test_directories;
     Alcotest.test_case "rename" `Quick test_rename;
     Alcotest.test_case "multi-block files" `Quick test_multiblock;
