@@ -737,12 +737,13 @@ let hot_loop_code iters =
   String.concat "" (List.map Codec.encode prog)
 
 (* One timed run of the hot loop through the selected tier. The code
-   page is mapped r-x (the LibOS's W^X shape) so blocks are not
-   fragile. *)
-let hot_loop_run code ~tier =
+   page is mapped r-x by default; [perm_rwx] is the mapping SIP code
+   actually gets under the LibOS (SGX1 fixes page permissions at EADD),
+   which makes every block fragile. *)
+let hot_loop_run ?(perm = Occlum_machine.Mem.perm_rx) code ~tier =
   let open Occlum_machine in
   let mem = Mem.create ~size:(16 * 4096) in
-  Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rx;
+  Mem.map mem ~addr:4096 ~len:4096 ~perm;
   Mem.write_bytes_priv mem ~addr:4096 (Bytes.of_string code);
   let cpu = Cpu.create () in
   cpu.Cpu.pc <- 4096;
@@ -805,15 +806,24 @@ let micro_jit () =
   let cpu_u, t_u = hot_loop_run code ~tier:`Uncached in
   let cpu_c, t_c = hot_loop_run code ~tier:`Cached in
   let cpu_j, t_j = hot_loop_run code ~tier:`Jit in
+  let cpu_x, t_x = hot_loop_run ~perm:Mem.perm_rwx code ~tier:`Jit in
+  (* allocation proxy: minor words per retired instruction over a whole
+     JIT run (translation included) — deterministic, unlike the rates *)
+  let minor_words_per_insn =
+    let w0 = Gc.minor_words () in
+    let cpu, _ = hot_loop_run code ~tier:`Jit in
+    (Gc.minor_words () -. w0) /. float cpu.Cpu.insns
+  in
   let same a b =
     a.Cpu.insns = b.Cpu.insns
     && a.Cpu.cycles = b.Cpu.cycles
     && Cpu.get a r2 = Cpu.get b r2
   in
-  if not (same cpu_u cpu_c && same cpu_u cpu_j) then
+  if not (same cpu_u cpu_c && same cpu_u cpu_j && same cpu_u cpu_x) then
     failwith "JIT, cached and uncached interpretation diverged";
   let ips cpu t = float cpu.Cpu.insns /. t in
   let u = ips cpu_u t_u and c = ips cpu_c t_c and j = ips cpu_j t_j in
+  let x = ips cpu_x t_x in
   (* translation cost: time repeated compiles of the hot-loop block *)
   let compile_ns =
     let mem = Mem.create ~size:(16 * 4096) in
@@ -883,6 +893,8 @@ let micro_jit () =
     cpu.Cpu.jit_deopts
   in
   record "jit/insns-per-sec" j;
+  record "jit/rwx-insns-per-sec" x;
+  record "jit/minor-words-per-insn" minor_words_per_insn;
   record "jit/over-dcache-speedup" (j /. c);
   record "jit/over-uncached-speedup" (j /. u);
   record "jit/compile-ns-per-block" compile_ns;
@@ -890,6 +902,10 @@ let micro_jit () =
   Printf.printf
     "%-34s %14.2f M insns/s   (%.2fx dcache, %.2fx uncached)\n"
     "occlum/interp-jit" (j /. 1e6) (j /. c) (j /. u);
+  Printf.printf "%-34s %14.2f M insns/s   (code mapped rwx)\n"
+    "occlum/interp-jit-rwx" (x /. 1e6);
+  Printf.printf "%-34s %14.4f words/insn\n" "occlum/jit-minor-words"
+    minor_words_per_insn;
   Printf.printf "%-34s %14.0f ns/block\n" "occlum/jit-compile" compile_ns;
   Printf.printf "%-34s %14d deopts (self-modifying kernel)\n" "occlum/jit-smc"
     smc_deopts

@@ -100,10 +100,10 @@ let cpu_diff (a : Cpu.t) (b : Cpu.t) =
     if a.Cpu.flag_eq <> b.Cpu.flag_eq || a.Cpu.flag_lt <> b.Cpu.flag_lt then
       raise (Diff "comparison flags");
     for i = 0 to Reg.count - 1 do
-      if a.Cpu.regs.(i) <> b.Cpu.regs.(i) then
+      let r = Reg.of_int i in
+      if Cpu.get a r <> Cpu.get b r then
         raise
-          (Diff
-             (Printf.sprintf "r%d: %Ld vs %Ld" i a.Cpu.regs.(i) b.Cpu.regs.(i)))
+          (Diff (Printf.sprintf "r%d: %Ld vs %Ld" i (Cpu.get a r) (Cpu.get b r)))
     done;
     for i = 0 to Reg.bnd_count - 1 do
       let x = a.Cpu.bnds.(i) and y = b.Cpu.bnds.(i) in
@@ -361,7 +361,8 @@ let soundness_case inj shrink rng case =
 (* --- property: AEX/resume bit-identity ---------------------------------- *)
 
 let capture (cpu : Cpu.t) =
-  (Array.copy cpu.Cpu.regs, Array.copy cpu.Cpu.bnds, cpu.Cpu.pc,
+  (Array.init Reg.count (fun i -> Cpu.get cpu (Reg.of_int i)),
+   Array.copy cpu.Cpu.bnds, cpu.Cpu.pc,
    cpu.Cpu.flag_eq, cpu.Cpu.flag_lt)
 
 let resume_diff (regs, bnds, pc, fe, fl) (cpu : Cpu.t) =
@@ -371,7 +372,8 @@ let resume_diff (regs, bnds, pc, fe, fl) (cpu : Cpu.t) =
       raise (Diff "comparison flags");
     Array.iteri
       (fun i v ->
-        if cpu.Cpu.regs.(i) <> v then raise (Diff (Printf.sprintf "r%d" i)))
+        if Cpu.get cpu (Reg.of_int i) <> v then
+          raise (Diff (Printf.sprintf "r%d" i)))
       regs;
     Array.iteri
       (fun i (v : Cpu.bound) ->
@@ -1246,9 +1248,7 @@ let mc_case _inj _shrink rng case =
      immediately.
    - [J_smc]: the driver additionally flips a code byte — the same byte,
      the same flip — in all three envs at stop boundaries, exercising
-     page-generation invalidation, JIT deopt and rebuild. With RWX code
-     the blocks are fragile (single-instruction units, revalidated
-     between instructions); with RX code the fused fast paths run.
+     page-generation invalidation, JIT deopt and rebuild.
    - [J_epc]: all three envs are demand-paged against one oversized pool
      and the driver evicts the same page from each at stop boundaries.
      Reloads are transparent ELDUs driven off [Epc_miss], mirroring the
@@ -1257,7 +1257,14 @@ let mc_case _inj _shrink rng case =
      architectural); code-fetch misses charge nothing. The slicing
      schedule is anchored to the instruction counter, so a boundary
      re-entered after a reload is not a new AEX — how often a tier
-     refetches code is exactly what differs between tiers. *)
+     refetches code is exactly what differs between tiers.
+
+   Code is mapped RX or RWX (RWX is the LibOS's own mapping: SGX1 fixes
+   page permissions at EADD). On the RWX arm every block is fragile —
+   fused, but with each memory write ending its unit and a revalidation
+   after it — and the program also carries guest stores into its own
+   code ([Gen.code_stores]), so self-modification lands mid-block, on
+   the instruction right after the store, in every regime. *)
 
 type jit_mode = J_plain | J_smc | J_epc
 
@@ -1278,8 +1285,13 @@ let drive_triple ?inj ~mode ~perturb_seed ~code_perm oelf ~period ~fuel =
   let a = mk () and b = mk () and c = mk () in
   let envs = [ a; b; c ] in
   let cache_a = Decode_cache.create () and cache_b = Decode_cache.create () in
-  (* threshold 2: generated loops are short, promotion must still happen *)
-  let jit = Jit.create ~threshold:2 () in
+  (* threshold 2: generated loops are short, promotion must still happen.
+     RWX code compiles every block at build instead: a guest store into
+     a block's own code invalidates the block each time it runs, so a
+     warm-up threshold would keep such blocks out of the JIT for good. *)
+  let jit =
+    Jit.create ~threshold:(if code_perm = Mem.perm_rwx then 0 else 2) ()
+  in
   let prng = Rng.of_seed perturb_seed in
   let pages = Mem.size a.Exec.mem / Mem.page_size in
   let perturb () =
@@ -1406,10 +1418,13 @@ let jit_case inj shrink rng case =
     match case mod 4 with 0 -> J_smc | 1 -> J_epc | _ -> J_plain
   in
   let perturb_seed = Rng.next rng in
-  (* RX is the loader's mapping (fused fast paths); RWX keeps every
-     block fragile (single-instruction units + revalidation) *)
+  (* RWX (the LibOS mapping) makes every block fragile and carries guest
+     stores into the program's own code; RX keeps stores out of code *)
   let code_perm = if Rng.bool rng then Mem.perm_rx else Mem.perm_rwx in
   let items = Gen.program rng in
+  let items =
+    if code_perm = Mem.perm_rwx then Gen.code_stores rng items else items
+  in
   let repro ?inj its =
     drive_triple ?inj ~mode ~perturb_seed ~code_perm (Gen.link its) ~period
       ~fuel

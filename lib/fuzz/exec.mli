@@ -37,9 +37,9 @@ val make : ?epc:Occlum_sgx.Epc.t -> ?code_perm:Mem.perm -> Occlum_oelf.Oelf.t ->
     region one guard page past D, and a CPU initialized exactly as the
     LibOS would (pc, sp, base registers, bnd0 = D's range, bnd1 = the
     domain's cfi-label value). A fresh EPC pool is created unless [epc]
-    is given. [code_perm] (default RWX, the historical fuzz mapping) is
-    the code region's page permission; RX matches the LibOS loader and
-    lets the block JIT compile non-fragile blocks. *)
+    is given. [code_perm] (default RWX, the mapping the LibOS loader
+    uses on SGX1) is the code region's page permission; RX keeps every
+    block non-fragile. *)
 
 val audit : env -> violation option
 (** The end-of-run memory policy check (victim + code integrity). *)

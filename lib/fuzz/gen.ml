@@ -283,6 +283,28 @@ let insert_at items pos it =
   in
   go 0 items
 
+(* Guest self-modifying code, for runs whose code is mapped RWX: one to
+   three unguarded 1- or 8-byte rip-relative stores, each aimed [-64, 32)
+   bytes from its own end. The target is code the program is running —
+   usually an instruction of the store's own basic block, the very next
+   one included. *)
+let code_stores rng items =
+  let rec go k items =
+    if k = 0 then items
+    else
+      let st =
+        Asm.Ins
+          (Store
+             {
+               dst = Rip_rel (Rng.int_in rng (-64) 31);
+               src = Rng.choose rng work_regs;
+               size = (if Rng.bool rng then 8 else 1);
+             })
+      in
+      go (k - 1) (insert_at items (Rng.int rng (List.length items + 1)) st)
+  in
+  go (Rng.int_in rng 1 3) items
+
 (* Drop the first guard at or after a random position: the classic
    "toolchain bug" the verifier exists to catch. *)
 let drop_guard rng items =

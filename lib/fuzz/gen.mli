@@ -37,6 +37,12 @@ val program : Rng.t -> Asm.item list
 val hostile : Rng.t -> Asm.item list
 (** {!program} with one hostile mutation. *)
 
+val code_stores : Rng.t -> Asm.item list -> Asm.item list
+(** Splice one to three unguarded 1- or 8-byte stores into the items,
+    each aimed by a rip-relative displacement in [\[-64, 32)] at the
+    program's own code near the store — guest self-modifying code for
+    runs with RWX code pages. *)
+
 val insn : Rng.t -> Insn.t
 (** A random instruction with valid operand ranges, drawn from the whole
     ISA (including verifier-rejected shapes) — codec fodder. *)

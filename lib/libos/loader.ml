@@ -146,7 +146,7 @@ let load ?(require_signature = true) ?dynamic mem (slot : Domain_mgr.slot)
 
 (* Apply the image to a CPU about to run the SIP's initial thread. *)
 let init_cpu (img : image) (cpu : Cpu.t) =
-  Array.fill cpu.regs 0 (Array.length cpu.regs) 0L;
+  for i = 0 to Reg.count - 1 do Cpu.set cpu (Reg.of_int i) 0L done;
   cpu.pc <- img.entry_pc;
   Cpu.set cpu Reg.sp (Int64.of_int img.init_sp);
   Cpu.set cpu R.code_base (Int64.of_int (Domain_mgr.c_base img.slot));

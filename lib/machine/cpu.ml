@@ -1,11 +1,15 @@
 (* Architectural state of one simulated hardware thread: 16 GPRs, four
    MPX bound registers, comparison flags, a program counter, and cycle /
-   instruction counters used by the benchmarks. *)
+   instruction counters used by the benchmarks.
+
+   The GPRs live unboxed in a [Bytes.t], 8 little-endian bytes each:
+   [Bytes.get_int64_le]/[set_int64_le] compile to plain loads and stores,
+   where an [int64 array] would box every value written. *)
 
 type bound = { lower : int64; upper : int64 } (* inclusive range *)
 
 type t = {
-  regs : int64 array;
+  regs : Bytes.t; (* GPR i at byte offset 8 * i *)
   bnds : bound array;
   mutable pc : int;
   mutable flag_eq : bool;
@@ -29,7 +33,7 @@ type t = {
 
 let create () =
   {
-    regs = Array.make Occlum_isa.Reg.count 0L;
+    regs = Bytes.make (8 * Occlum_isa.Reg.count) '\x00';
     bnds = Array.make Occlum_isa.Reg.bnd_count { lower = 0L; upper = -1L };
     pc = 0;
     flag_eq = false;
@@ -48,8 +52,8 @@ let create () =
     jit_deopts = 0;
   }
 
-let get t r = t.regs.(Occlum_isa.Reg.to_int r)
-let set t r v = t.regs.(Occlum_isa.Reg.to_int r) <- v
+let get t r = Bytes.get_int64_le t.regs (8 * Occlum_isa.Reg.to_int r)
+let set t r v = Bytes.set_int64_le t.regs (8 * Occlum_isa.Reg.to_int r) v
 let get_bnd t b = t.bnds.(Occlum_isa.Reg.bnd_to_int b)
 let set_bnd t b range = t.bnds.(Occlum_isa.Reg.bnd_to_int b) <- range
 
@@ -57,7 +61,7 @@ let set_bnd t b range = t.bnds.(Occlum_isa.Reg.bnd_to_int b) <- range
    the SSA on an asynchronous exit and restores them on resume (§2.1,
    §2.3). The LibOS also uses this to context-switch between SIPs. *)
 type snapshot = {
-  s_regs : int64 array;
+  s_regs : Bytes.t;
   s_bnds : bound array;
   s_pc : int;
   s_flag_eq : bool;
@@ -66,7 +70,7 @@ type snapshot = {
 
 let save t =
   {
-    s_regs = Array.copy t.regs;
+    s_regs = Bytes.copy t.regs;
     s_bnds = Array.copy t.bnds;
     s_pc = t.pc;
     s_flag_eq = t.flag_eq;
@@ -74,7 +78,7 @@ let save t =
   }
 
 let restore t s =
-  Array.blit s.s_regs 0 t.regs 0 (Array.length t.regs);
+  Bytes.blit s.s_regs 0 t.regs 0 (Bytes.length t.regs);
   Array.blit s.s_bnds 0 t.bnds 0 (Array.length t.bnds);
   t.pc <- s.s_pc;
   t.flag_eq <- s.s_flag_eq;

@@ -5,7 +5,9 @@
 type bound = { lower : int64; upper : int64 }  (** inclusive range *)
 
 type t = {
-  regs : int64 array;
+  regs : Bytes.t;
+      (** GPR [i] as 8 little-endian bytes at offset [8 * i]; unboxed, so
+          writing a register never allocates. Read through {!get}. *)
   bnds : bound array;
   mutable pc : int;
   mutable flag_eq : bool;

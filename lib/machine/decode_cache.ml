@@ -14,13 +14,14 @@
    and by every write — privileged or not — landing in an executable
    page. A block snapshots the generations of the pages it spans when
    built; a lookup whose snapshot no longer matches is an invalidation
-   and the block is dropped. Under the LibOS, SIP pages are W^X, so only
-   the trusted loader's privileged writes ever bump a code page; the
-   unprivileged-write hook exists for the RWX harnesses (bare runner,
-   RIPE) where self-modifying stores are legal. Blocks that span a
-   writable-and-executable page are additionally marked [fragile] so the
-   interpreter revalidates them between instructions, keeping even
-   self-modifying code exactly faithful to the uncached semantics. *)
+   and the block is dropped. SIP code pages are RWX, not W^X: SGX1 fixes
+   page permissions at EADD, so the LibOS maps every domain's code
+   region writable, and only the verifier's guards keep SIP stores out
+   of it. A user store into code is thus legal at the page level, and
+   blocks that span a writable-and-executable page are marked [fragile]:
+   the interpreter revalidates them after every instruction that writes
+   memory ([writes]), keeping even self-modifying code exactly faithful
+   to the uncached semantics. *)
 
 open Occlum_isa
 
@@ -30,6 +31,7 @@ type block = {
   pages : int array; (* pages spanned by [entry, entry + byte_len) *)
   gens : int array;  (* generation snapshot of [pages] at build time *)
   fragile : bool;    (* some spanned page is both writable and executable *)
+  writes : bool array; (* instruction i may write memory *)
   mutable hot : int; (* replay count since build — the JIT's promotion cue *)
 }
 
@@ -62,6 +64,15 @@ let terminates (i : Insn.t) =
   match Insn.control_transfer_of i with
   | Ct_direct _ | Ct_register _ | Ct_memory | Ct_return -> true
   | Ct_none -> Insn.danger_of i <> None (* gate + privileged opcodes *)
+
+(* Every instruction that can write guest memory. In a fragile block
+   only these can move the block's own page generations, so both
+   replaying tiers revalidate a fragile block right after one of them
+   and nowhere else. *)
+let writes_memory (i : Insn.t) =
+  match i with
+  | Store _ | Push _ | Call _ | Call_reg _ | Call_mem _ | Vscatter _ -> true
+  | _ -> false
 
 let block_valid mem (b : block) =
   let ok = ref true in
@@ -114,7 +125,8 @@ let build t mem pc =
           pages
       in
       if Hashtbl.length t.tbl >= t.max_blocks then clear t;
-      let b = { entry = pc; insns; pages; gens; fragile; hot = 0 } in
+      let writes = Array.map (fun (i, _) -> writes_memory i) insns in
+      let b = { entry = pc; insns; pages; gens; fragile; writes; hot = 0 } in
       Hashtbl.replace t.tbl pc b;
       Some b
 

@@ -4,9 +4,10 @@
     the first control transfer, syscall gate or privileged opcode, and
     are invalidated through {!Mem.page_gen} generation counters (bumped
     on map/unmap and on any write into an executable page). Blocks that
-    span a writable-and-executable page are [fragile]: the interpreter
-    revalidates them between instructions so self-modifying code behaves
-    exactly as it does uncached. *)
+    span a writable-and-executable page — every SIP block, since SGX1
+    code is mapped RWX — are [fragile]: the interpreter revalidates them
+    after each instruction that writes memory, so self-modifying code
+    behaves exactly as it does uncached. *)
 
 type block = {
   entry : int;  (** pc of the first instruction *)
@@ -14,7 +15,13 @@ type block = {
       (** decoded instruction, encoded length *)
   pages : int array;  (** pages spanned by the block's bytes *)
   gens : int array;  (** generation snapshot of [pages] at build time *)
-  fragile : bool;  (** some spanned page is both writable and executable *)
+  fragile : bool;
+      (** some spanned page is both writable and executable, so a store
+          from the block itself may rewrite its code *)
+  writes : bool array;
+      (** [writes.(i)]: instruction [i] may write memory (store, push,
+          call, vscatter). A fragile block is revalidated after each
+          such instruction, and only there. *)
   mutable hot : int;
       (** replay count since build — the JIT's promotion cue *)
 }

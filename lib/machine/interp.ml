@@ -25,16 +25,24 @@ let stop_to_string = function
 
 let addr_mask = 0xFF_FFFF_FFFFL (* treat effective addresses as 40-bit *)
 
-let effective_address mem cpu (m : Insn.mem) ~end_pc =
+(* GPRs are read and written in place: [Cpu.get]/[Cpu.set] are calls
+   into another module, and an [int64] crossing one is boxed. *)
+let[@inline] get (cpu : Cpu.t) r =
+  Bytes.get_int64_le cpu.Cpu.regs (8 * Reg.to_int r)
+
+let[@inline] set (cpu : Cpu.t) r v =
+  Bytes.set_int64_le cpu.Cpu.regs (8 * Reg.to_int r) v
+
+let[@inline] effective_address mem cpu (m : Insn.mem) ~end_pc =
   let open Int64 in
   let v =
     match m with
     | Sib { base; index; scale; disp } ->
-        let b = Cpu.get cpu base in
+        let b = get cpu base in
         let i =
           match index with
           | None -> 0L
-          | Some r -> mul (Cpu.get cpu r) (of_int scale)
+          | Some r -> mul (get cpu r) (of_int scale)
         in
         add (add b i) (of_int disp)
     | Rip_rel disp -> of_int (end_pc + disp)
@@ -48,18 +56,28 @@ let effective_address mem cpu (m : Insn.mem) ~end_pc =
 
 let unsigned_lt a b = Int64.unsigned_compare a b < 0
 
-let read_sized mem addr size =
-  if size = 1 then Int64.of_int (Mem.read_u8 mem addr) else Mem.read_u64 mem addr
+(* [Mem.read_u64]/[write_u64], restated over [Mem.raw] for the same
+   reason as [get]/[set] *)
+let[@inline] load64 mem addr =
+  Mem.check_access mem addr 8 Read;
+  Bytes.get_int64_le (Mem.raw mem) addr
 
-let write_sized mem addr size v =
+let[@inline] store64 mem addr v =
+  Mem.check_write mem addr 8;
+  Bytes.set_int64_le (Mem.raw mem) addr v
+
+let[@inline] read_sized mem addr size =
+  if size = 1 then Int64.of_int (Mem.read_u8 mem addr) else load64 mem addr
+
+let[@inline] write_sized mem addr size v =
   if size = 1 then Mem.write_u8 mem addr (Int64.to_int (Int64.logand v 0xFFL))
-  else Mem.write_u64 mem addr v
+  else store64 mem addr v
 
-let operand_value cpu = function
-  | Insn.O_reg r -> Cpu.get cpu r
+let[@inline] operand_value cpu = function
+  | Insn.O_reg r -> get cpu r
   | Insn.O_imm v -> v
 
-let alu_exec op a b ~pc =
+let[@inline] alu_exec op a b ~pc =
   let open Int64 in
   match (op : Insn.alu_op) with
   | Add -> add a b
@@ -85,7 +103,7 @@ let cond_holds cpu = function
   | Insn.Gt -> not (cpu.Cpu.flag_lt || cpu.Cpu.flag_eq)
   | Insn.Ge -> not cpu.Cpu.flag_lt
 
-let bound_check cpu bnd value ~lower =
+let[@inline] bound_check cpu bnd value ~lower =
   cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
   let b = Cpu.get_bnd cpu bnd in
   let fails =
@@ -94,23 +112,23 @@ let bound_check cpu bnd value ~lower =
   if fails then
     raise (Fault.Fault (Bound_fault { bnd = Reg.bnd_to_int bnd; value }))
 
-let ea_value mem cpu ea ~end_pc =
+let[@inline] ea_value mem cpu ea ~end_pc =
   match (ea : Insn.ea) with
-  | Ea_reg r -> Cpu.get cpu r
+  | Ea_reg r -> get cpu r
   | Ea_mem m -> Int64.of_int (effective_address mem cpu m ~end_pc)
 
 (* The store happens first: if it faults, the AEX-captured state must
    still hold the pre-push stack pointer (a decremented sp with nothing
    written would corrupt the SIP's resume/kill diagnostics). *)
-let push_u64 mem cpu v =
-  let sp = Int64.sub (Cpu.get cpu Reg.sp) 8L in
-  Mem.write_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) v;
-  Cpu.set cpu Reg.sp sp
+let[@inline] push_u64 mem cpu v =
+  let sp = Int64.sub (get cpu Reg.sp) 8L in
+  store64 mem (Int64.to_int (Int64.logand sp addr_mask)) v;
+  set cpu Reg.sp sp
 
-let pop_u64 mem cpu =
-  let sp = Cpu.get cpu Reg.sp in
-  let v = Mem.read_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) in
-  Cpu.set cpu Reg.sp (Int64.add sp 8L);
+let[@inline] pop_u64 mem cpu =
+  let sp = get cpu Reg.sp in
+  let v = load64 mem (Int64.to_int (Int64.logand sp addr_mask)) in
+  set cpu Reg.sp (Int64.add sp 8L);
   v
 
 (* Execute one already-decoded instruction whose encoding spans
@@ -123,113 +141,112 @@ let exec_decoded mem cpu insn ~pc ~len : stop option =
   match
     cpu.Cpu.insns <- cpu.Cpu.insns + 1;
     cpu.Cpu.cycles <- cpu.Cpu.cycles + Cost.of_insn insn;
-    let goto target = cpu.Cpu.pc <- target in
-    let next () = goto end_pc in
     match (insn : Insn.t) with
     | Nop ->
-        next ();
+        cpu.Cpu.pc <- end_pc;
         None
     | Cfi_label _ ->
-        next ();
+        cpu.Cpu.pc <- end_pc;
         None
     | Mov_imm (r, v) ->
-        Cpu.set cpu r v;
-        next ();
+        set cpu r v;
+        cpu.Cpu.pc <- end_pc;
         None
     | Mov_reg (d, s) ->
-        Cpu.set cpu d (Cpu.get cpu s);
-        next ();
+        set cpu d (get cpu s);
+        cpu.Cpu.pc <- end_pc;
         None
     | Load { dst; src; size } ->
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let addr = effective_address mem cpu src ~end_pc in
-        Cpu.set cpu dst (read_sized mem addr size);
-        next ();
+        set cpu dst (read_sized mem addr size);
+        cpu.Cpu.pc <- end_pc;
         None
     | Store { dst; src; size } ->
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         let addr = effective_address mem cpu dst ~end_pc in
-        write_sized mem addr size (Cpu.get cpu src);
-        next ();
+        write_sized mem addr size (get cpu src);
+        cpu.Cpu.pc <- end_pc;
         None
     | Push r ->
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        push_u64 mem cpu (Cpu.get cpu r);
-        next ();
+        push_u64 mem cpu (get cpu r);
+        cpu.Cpu.pc <- end_pc;
         None
     | Pop r ->
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let v = pop_u64 mem cpu in
-        Cpu.set cpu r v;
-        next ();
+        set cpu r v;
+        cpu.Cpu.pc <- end_pc;
         None
     | Lea (r, m) ->
-        Cpu.set cpu r (Int64.of_int (effective_address mem cpu m ~end_pc));
-        next ();
+        set cpu r (Int64.of_int (effective_address mem cpu m ~end_pc));
+        cpu.Cpu.pc <- end_pc;
         None
     | Alu (op, d, o) ->
-        Cpu.set cpu d (alu_exec op (Cpu.get cpu d) (operand_value cpu o) ~pc);
-        next ();
+        set cpu d (alu_exec op (get cpu d) (operand_value cpu o) ~pc);
+        cpu.Cpu.pc <- end_pc;
         None
     | Cmp (a, o) ->
-        let x = Cpu.get cpu a and y = operand_value cpu o in
+        let x = get cpu a and y = operand_value cpu o in
         cpu.Cpu.flag_eq <- Int64.equal x y;
         cpu.Cpu.flag_lt <- Int64.compare x y < 0;
-        next ();
+        cpu.Cpu.pc <- end_pc;
         None
     | Jmp rel ->
-        goto (end_pc + rel);
+        cpu.Cpu.pc <- end_pc + rel;
         None
     | Jcc (c, rel) ->
-        if cond_holds cpu c then goto (end_pc + rel) else next ();
+        cpu.Cpu.pc <- (if cond_holds cpu c then end_pc + rel else end_pc);
         None
     | Call rel ->
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         push_u64 mem cpu (Int64.of_int end_pc);
-        goto (end_pc + rel);
+        cpu.Cpu.pc <- end_pc + rel;
         None
     | Jmp_reg r ->
-        goto (Int64.to_int (Int64.logand (Cpu.get cpu r) addr_mask));
+        cpu.Cpu.pc <- Int64.to_int (Int64.logand (get cpu r) addr_mask);
         None
     | Call_reg r ->
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         push_u64 mem cpu (Int64.of_int end_pc);
-        goto (Int64.to_int (Int64.logand (Cpu.get cpu r) addr_mask));
+        cpu.Cpu.pc <- Int64.to_int (Int64.logand (get cpu r) addr_mask);
         None
     | Jmp_mem m ->
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let addr = effective_address mem cpu m ~end_pc in
-        goto (Int64.to_int (Int64.logand (Mem.read_u64 mem addr) addr_mask));
+        cpu.Cpu.pc <-
+          Int64.to_int (Int64.logand (load64 mem addr) addr_mask);
         None
     | Call_mem m ->
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         let addr = effective_address mem cpu m ~end_pc in
-        let target = Mem.read_u64 mem addr in
+        let target = load64 mem addr in
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         push_u64 mem cpu (Int64.of_int end_pc);
-        goto (Int64.to_int (Int64.logand target addr_mask));
+        cpu.Cpu.pc <- Int64.to_int (Int64.logand target addr_mask);
         None
     | Ret ->
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        goto (Int64.to_int (Int64.logand (pop_u64 mem cpu) addr_mask));
+        cpu.Cpu.pc <- Int64.to_int (Int64.logand (pop_u64 mem cpu) addr_mask);
         None
     | Ret_imm n ->
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         (* the pop may fault; the sp adjustment commits only afterwards *)
         let target = pop_u64 mem cpu in
-        Cpu.set cpu Reg.sp (Int64.add (Cpu.get cpu Reg.sp) (Int64.of_int n));
-        goto (Int64.to_int (Int64.logand target addr_mask));
+        set cpu Reg.sp (Int64.add (get cpu Reg.sp) (Int64.of_int n));
+        cpu.Cpu.pc <- Int64.to_int (Int64.logand target addr_mask);
         None
     | Bndcl (b, ea) ->
         bound_check cpu b (ea_value mem cpu ea ~end_pc) ~lower:true;
-        next ();
+        cpu.Cpu.pc <- end_pc;
         None
     | Bndcu (b, ea) ->
         bound_check cpu b (ea_value mem cpu ea ~end_pc) ~lower:false;
-        next ();
+        cpu.Cpu.pc <- end_pc;
         None
     | Syscall_gate ->
-        next ();
+        cpu.Cpu.pc <- end_pc;
         Some Stop_syscall
     | Hlt -> Some (Stop_fault (Privileged { addr = pc; insn = "hlt" }))
     | Bndmk _ -> Some (Stop_fault (Privileged { addr = pc; insn = "bndmk" }))
@@ -246,17 +263,17 @@ let exec_decoded mem cpu insn ~pc ~len : stop option =
         (* one instruction, multiple non-contiguous stores — the
            reason Stage 4 rejects it (Figure 4) *)
         cpu.Cpu.stores <- cpu.Cpu.stores + 4;
-        let b = Cpu.get cpu base and i = Cpu.get cpu index in
+        let b = get cpu base and i = get cpu index in
         for lane = 0 to 3 do
           let a =
             Int64.add b
               (Int64.mul (Int64.add i (Int64.of_int lane)) (Int64.of_int scale))
           in
-          Mem.write_u64 mem
+          store64 mem
             (Int64.to_int (Int64.logand a addr_mask))
-            (Cpu.get cpu src)
+            (get cpu src)
         done;
-        next ();
+        cpu.Cpu.pc <- end_pc;
         None
   with
   | exception Fault.Fault f -> Some (Stop_fault f)
@@ -304,9 +321,9 @@ let run_uncached mem cpu ~fuel =
    span still decodes and is still executable, exactly as at build time.
    Fuel is re-checked before every instruction so quantum expiry lands on
    the same instruction boundary as the uncached loop, and fragile
-   blocks (those on writable+executable pages) are revalidated between
-   instructions so self-modifying stores take effect on the very next
-   fetch, as they would uncached.
+   blocks (those on writable+executable pages) are revalidated after
+   every instruction that wrote memory so self-modifying stores take
+   effect on the very next fetch, as they would uncached.
 
    Observability: cache hit/miss/invalidate events are emitted per block
    lookup when the [Dcache] trace class is on; with tracing disabled the
@@ -327,7 +344,7 @@ let run_cached cache obs mem cpu ~fuel =
           if obs.Occlum_obs.Obs.t_dcache then
             Occlum_obs.Obs.emit_at obs ~ts:(ts ())
               (Occlum_obs.Trace.Dcache_hit { pc = cpu.Cpu.pc });
-          exec_block b fuel
+          exec_block b 0 b.entry fuel
       | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
           if r = Decode_cache.Stale then begin
             cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
@@ -340,28 +357,27 @@ let run_cached cache obs mem cpu ~fuel =
             Occlum_obs.Obs.emit_at obs ~ts:(ts ())
               (Occlum_obs.Trace.Dcache_miss { pc = cpu.Cpu.pc });
           match Decode_cache.build cache mem cpu.Cpu.pc with
-          | Some b -> exec_block b fuel
+          | Some b -> exec_block b 0 b.entry fuel
           | None -> (
               (* nothing decodable/executable at pc: the uncached step
                  raises the fault with identical address and reason *)
               match step mem cpu with
               | Some stop -> stop
               | None -> loop (fuel - 1)))
-  and exec_block (b : Decode_cache.block) fuel =
-    let n = Array.length b.insns in
-    let rec go i pc fuel =
-      if fuel <= 0 then Stop_quantum
-      else if i >= n then loop fuel
-      else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
-        (* a store inside this block rewrote its own code page: refetch *)
-        loop fuel
-      else
-        let insn, len = b.insns.(i) in
-        match exec_decoded mem cpu insn ~pc ~len with
-        | Some stop -> stop
-        | None -> go (i + 1) (pc + len) (fuel - 1)
-    in
-    go 0 b.entry fuel
+  and exec_block (b : Decode_cache.block) i pc fuel =
+    if fuel <= 0 then Stop_quantum
+    else if i >= Array.length b.insns then loop fuel
+    else if
+      i > 0 && b.fragile && b.writes.(i - 1)
+      && not (Decode_cache.block_valid mem b)
+    then
+      (* the write just retired may have rewritten this block: refetch *)
+      loop fuel
+    else
+      let insn, len = b.insns.(i) in
+      match exec_decoded mem cpu insn ~pc ~len with
+      | Some stop -> stop
+      | None -> exec_block b (i + 1) (pc + len) (fuel - 1)
   in
   loop fuel
 
@@ -370,9 +386,10 @@ let run_cached cache obs mem cpu ~fuel =
    many times) → build → uncached single-step fallback. Compiled units
    run their check-free [fast] variant only when the remaining fuel
    covers the whole unit, so [Stop_quantum] lands on the same
-   instruction boundary as the other tiers; fragile blocks (single-
-   instruction units by construction) are revalidated between units and
-   deopt back to the decoded tier when a store rewrote their code page.
+   instruction boundary as the other tiers; fragile blocks are
+   revalidated after each unit that wrote memory (in them a write always
+   ends its unit) and deopt back to the decoded tier when a store
+   rewrote their code page.
    A fault inside a compiled unit deopts to the interpreter's fault
    path: the closure charged and parked state exactly as [exec_decoded]
    would have at the faulting instruction, so the AEX capture is
@@ -390,7 +407,7 @@ let run_jit jit cache obs mem cpu ~fuel =
           if obs.Occlum_obs.Obs.t_jit then
             Occlum_obs.Obs.emit_at obs ~ts:(ts ())
               (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
-          exec_compiled c fuel
+          exec_compiled c 0 fuel
       | Jit.Stale ->
           cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
           if obs.Occlum_obs.Obs.t_jit then
@@ -411,9 +428,9 @@ let run_jit jit cache obs mem cpu ~fuel =
           if obs.Occlum_obs.Obs.t_jit then
             Occlum_obs.Obs.emit_at obs ~ts:(ts ())
               (Occlum_obs.Trace.Jit_compile { pc = cpu.Cpu.pc });
-          exec_compiled c fuel
+          exec_compiled c 0 fuel
         end
-        else exec_block b fuel
+        else exec_block b 0 b.entry fuel
     | (Decode_cache.Stale | Decode_cache.Miss) as r -> (
         if r = Decode_cache.Stale then begin
           cpu.Cpu.dcache_invalidations <- cpu.Cpu.dcache_invalidations + 1;
@@ -437,73 +454,71 @@ let run_jit jit cache obs mem cpu ~fuel =
               if obs.Occlum_obs.Obs.t_jit then
                 Occlum_obs.Obs.emit_at obs ~ts:(ts ())
                   (Occlum_obs.Trace.Jit_compile { pc = cpu.Cpu.pc });
-              exec_compiled c fuel
+              exec_compiled c 0 fuel
             end
-            else exec_block b fuel
+            else exec_block b 0 b.entry fuel
         | None -> (
             match step mem cpu with
             | Some stop -> stop
             | None -> loop (fuel - 1)))
-  and exec_block (b : Decode_cache.block) fuel =
-    let n = Array.length b.insns in
-    let rec go i pc fuel =
-      if fuel <= 0 then Stop_quantum
-      else if i >= n then loop fuel
-      else if b.fragile && i > 0 && not (Decode_cache.block_valid mem b) then
-        loop fuel
-      else
-        let insn, len = b.insns.(i) in
-        match exec_decoded mem cpu insn ~pc ~len with
-        | Some stop -> stop
-        | None -> go (i + 1) (pc + len) (fuel - 1)
-    in
-    go 0 b.entry fuel
-  and exec_compiled (c : Jit.compiled) fuel =
-    let n = Array.length c.Jit.units_fast in
-    let rec go u fuel =
-      if fuel <= 0 then Stop_quantum
-      else if u >= n then
-        (* a block that branches back to its own entry (the hot-loop
-           shape) re-enters without the table lookup; validity is
-           re-checked so a store from the block still invalidates it *)
-        if
-          cpu.Cpu.pc = c.Jit.entry
-          && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
-        then begin
-          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          Jit.note_hit jit;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
-          go 0 fuel
-        end
-        else loop fuel
-      else if
-        c.Jit.fragile && u > 0 && not (Decode_cache.block_valid mem c.Jit.src)
+  and exec_block (b : Decode_cache.block) i pc fuel =
+    if fuel <= 0 then Stop_quantum
+    else if i >= Array.length b.insns then loop fuel
+    else if
+      i > 0 && b.fragile && b.writes.(i - 1)
+      && not (Decode_cache.block_valid mem b)
+    then
+      (* the write just retired may have rewritten this block: refetch *)
+      loop fuel
+    else
+      let insn, len = b.insns.(i) in
+      match exec_decoded mem cpu insn ~pc ~len with
+      | Some stop -> stop
+      | None -> exec_block b (i + 1) (pc + len) (fuel - 1)
+  and exec_compiled (c : Jit.compiled) u fuel =
+    if fuel <= 0 then Stop_quantum
+    else if u >= Array.length c.Jit.units_fast then
+      (* a block that branches back to its own entry (the hot-loop
+         shape) re-enters without the table lookup; validity is
+         re-checked so a store from the block still invalidates it *)
+      if
+        cpu.Cpu.pc = c.Jit.entry
+        && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
       then begin
-        (* self-modifying code: deopt back to the decoded tier *)
-        cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
+        cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
+        Jit.note_hit jit;
         if obs.Occlum_obs.Obs.t_jit then
           Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
-        loop fuel
+            (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
+        exec_compiled c 0 fuel
       end
-      else
-        let k = c.Jit.unit_insns.(u) in
-        match
-          if fuel >= k then c.Jit.units_fast.(u) mem cpu
-          else c.Jit.units_safe.(u) mem cpu fuel
-        with
-        | Jit.U_fall -> go (u + 1) (fuel - k)
-        | Jit.U_stop s -> s
-        | exception Fault.Fault f ->
-            cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
-            if obs.Occlum_obs.Obs.t_jit then
-              Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-                (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
-            Stop_fault f
-    in
-    go 0 fuel
+      else loop fuel
+    else if
+      u > 0 && c.Jit.revalidate.(u - 1)
+      && not (Decode_cache.block_valid mem c.Jit.src)
+    then begin
+      (* the unit just run wrote into its own code: deopt back to the
+         decoded tier *)
+      cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
+      if obs.Occlum_obs.Obs.t_jit then
+        Occlum_obs.Obs.emit_at obs ~ts:(ts ())
+          (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
+      loop fuel
+    end
+    else
+      let k = c.Jit.unit_insns.(u) in
+      match
+        if fuel >= k then c.Jit.units_fast.(u) mem cpu
+        else c.Jit.units_safe.(u) mem cpu fuel
+      with
+      | Jit.U_fall -> exec_compiled c (u + 1) (fuel - k)
+      | Jit.U_stop s -> s
+      | exception Fault.Fault f ->
+          cpu.Cpu.jit_deopts <- cpu.Cpu.jit_deopts + 1;
+          if obs.Occlum_obs.Obs.t_jit then
+            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
+              (Occlum_obs.Trace.Jit_deopt { pc = cpu.Cpu.pc });
+          Stop_fault f
   in
   loop fuel
 

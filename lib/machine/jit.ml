@@ -24,9 +24,12 @@
    Invalidation mirrors the decode cache: a compiled block keeps its
    source block's page-generation snapshot and is dropped when a lookup
    finds the generations moved. Blocks spanning a writable+executable
-   page compile without fusion (single-instruction units) so the
-   interpreter can revalidate them between instructions; self-modifying
-   code thereby deopts back to the decoded-block tier mid-block.
+   page ("fragile" — every SIP's code region, since SGX1 fixes page
+   permissions at EADD and the LibOS maps code RWX) are fused like any
+   other, except that a unit never continues past an instruction that
+   writes memory; the interpreter revalidates the block after each such
+   unit, so self-modifying code deopts back to the decoded-block tier
+   before the next instruction runs.
 
    Guard elision: translation consults a table of guard addresses that
    [Occlum_analysis.Elide] classified dominated-redundant or
@@ -58,7 +61,9 @@ type compiled = {
   units_fast : body array;
   units_safe : unit_fn array;
   unit_insns : int array; (* original instructions per unit *)
-  fragile : bool;
+  revalidate : bool array;
+      (* unit u ends at a write in a fragile block: revalidate [src]
+         before unit u + 1 *)
   writes : bool;
       (* some instruction writes memory, so the block could invalidate
          itself (a store into its own executable page) — the self-loop
@@ -102,42 +107,88 @@ let clear_elide_facts t ~lo ~hi =
 
 (* ---- translation helpers (must mirror Interp exactly) ---- *)
 
-let addr_mask = 0xFF_FFFF_FFFFL
-let unsigned_lt a b = Int64.unsigned_compare a b < 0
-let sp_i = Reg.to_int Reg.sp
+(* No closure below returns an [int64] or passes one to a function in
+   another module: an [int64] crossing a call that is not inlined is
+   boxed, and under [-opaque] (dune's dev profile) no cross-module call
+   is inlined. Registers are read and written in place in [Cpu.regs],
+   guest memory through [Mem.check_access]/[Mem.check_write] followed by
+   the raw access — the same pair [Mem.read_u64]/[write_u64] perform. *)
 
-let clamp v =
+let addr_mask = 0xFF_FFFF_FFFFL
+
+let[@inline] unsigned_lt a b = Int64.unsigned_compare a b < 0
+
+(* byte offset of a GPR in [Cpu.regs] *)
+let slot r = 8 * Reg.to_int r
+let sp_o = slot Reg.sp
+let[@inline] reg (cpu : Cpu.t) o = Bytes.get_int64_le cpu.Cpu.regs o
+let[@inline] set_reg (cpu : Cpu.t) o v = Bytes.set_int64_le cpu.Cpu.regs o v
+
+let[@inline] load64 mem a =
+  Mem.check_access mem a 8 Fault.Read;
+  Bytes.get_int64_le (Mem.raw mem) a
+
+let[@inline] store64 mem a v =
+  Mem.check_write mem a 8;
+  Bytes.set_int64_le (Mem.raw mem) a v
+
+let[@inline] to_addr v = Int64.to_int (Int64.logand v addr_mask)
+
+let[@inline] clamp v =
   if Int64.compare (Int64.logand v addr_mask) v <> 0 then Int64.to_int addr_mask
   else Int64.to_int v
+
+(* [Int64.unsigned_div]/[unsigned_rem], restated so they inline *)
+let[@inline] udiv n d =
+  if Int64.compare d 0L < 0 then if unsigned_lt n d then 0L else 1L
+  else
+    let q = Int64.shift_left (Int64.div (Int64.shift_right_logical n 1) d) 1 in
+    let r = Int64.sub n (Int64.mul q d) in
+    if unsigned_lt r d then q else Int64.succ q
+
+let[@inline] alu_apply (op : Insn.alu_op) ~pc a b =
+  match op with
+  | Add -> Int64.add a b
+  | Sub -> Int64.sub a b
+  | Mul -> Int64.mul a b
+  | Divu ->
+      if b = 0L then raise (Fault.Fault (Div_by_zero { addr = pc }))
+      else udiv a b
+  | Remu ->
+      if b = 0L then raise (Fault.Fault (Div_by_zero { addr = pc }))
+      else Int64.sub a (Int64.mul (udiv a b) b)
+  | And -> Int64.logand a b
+  | Or -> Int64.logor a b
+  | Xor -> Int64.logxor a b
+  | Shl -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
+  | Shr -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
+
+(* MPX check of [v] against bound register [bi]; payload as the
+   interpreter's [bound_check] *)
+let[@inline] check_bound (cpu : Cpu.t) bi ~lower v =
+  cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
+  let bd = cpu.Cpu.bnds.(bi) in
+  if if lower then unsigned_lt v bd.Cpu.lower else unsigned_lt bd.Cpu.upper v
+  then raise (Fault.Fault (Bound_fault { bnd = bi; value = v }))
 
 (* Effective address, pre-resolved. Sib/Abs do not depend on end_pc;
    Rip_rel folds to a constant. Mirrors [Interp.effective_address]. *)
 let compile_ea (m : Insn.mem) ~end_pc : Cpu.t -> int =
   match m with
   | Sib { base; index = None; scale = _; disp } ->
-      let bi = Reg.to_int base and d = Int64.of_int disp in
-      fun cpu -> clamp (Int64.add cpu.Cpu.regs.(bi) d)
+      let bo = slot base and d = Int64.of_int disp in
+      fun cpu -> clamp (Int64.add (reg cpu bo) d)
   | Sib { base; index = Some r; scale; disp } ->
-      let bi = Reg.to_int base and ii = Reg.to_int r in
+      let bo = slot base and io = slot r in
       let s = Int64.of_int scale and d = Int64.of_int disp in
       fun cpu ->
-        clamp
-          (Int64.add
-             (Int64.add cpu.Cpu.regs.(bi) (Int64.mul cpu.Cpu.regs.(ii) s))
-             d)
+        clamp (Int64.add (Int64.add (reg cpu bo) (Int64.mul (reg cpu io) s)) d)
   | Rip_rel disp ->
       let a = clamp (Int64.of_int (end_pc + disp)) in
       fun _ -> a
   | Abs v ->
       let a = clamp v in
       fun _ -> a
-
-let compile_operand (o : Insn.operand) : Cpu.t -> int64 =
-  match o with
-  | O_imm v -> fun _ -> v
-  | O_reg r ->
-      let ri = Reg.to_int r in
-      fun cpu -> cpu.Cpu.regs.(ri)
 
 let compile_cond (c : Insn.cond) : bool -> bool -> bool =
   match c with
@@ -148,25 +199,40 @@ let compile_cond (c : Insn.cond) : bool -> bool -> bool =
   | Gt -> fun eq lt -> not (lt || eq)
   | Ge -> fun _ lt -> not lt
 
-let compile_alu (op : Insn.alu_op) ~pc : int64 -> int64 -> int64 =
-  match op with
-  | Add -> Int64.add
-  | Sub -> Int64.sub
-  | Mul -> Int64.mul
-  | Divu ->
-      fun a b ->
-        if b = 0L then raise (Fault.Fault (Div_by_zero { addr = pc }))
-        else Int64.unsigned_div a b
-  | Remu ->
-      fun a b ->
-        if b = 0L then raise (Fault.Fault (Div_by_zero { addr = pc }))
-        else Int64.unsigned_rem a b
-  | And -> Int64.logand
-  | Or -> Int64.logor
-  | Xor -> Int64.logxor
-  | Shl -> fun a b -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
-  | Shr ->
-      fun a b -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
+(* The register effect of [Alu (op, d, o)]: the common operations get a
+   closure of their own, the rest dispatch on [op] inside one. Divu and
+   Remu can fault, so they never join a bulk-charged pure run. *)
+let alu_core (op : Insn.alu_op) ~pc d (o : Insn.operand) : Cpu.t -> unit =
+  let di = slot d in
+  match (op, o) with
+  | Add, O_imm v -> fun cpu -> set_reg cpu di (Int64.add (reg cpu di) v)
+  | Sub, O_imm v -> fun cpu -> set_reg cpu di (Int64.sub (reg cpu di) v)
+  | Mul, O_imm v -> fun cpu -> set_reg cpu di (Int64.mul (reg cpu di) v)
+  | And, O_imm v -> fun cpu -> set_reg cpu di (Int64.logand (reg cpu di) v)
+  | Or, O_imm v -> fun cpu -> set_reg cpu di (Int64.logor (reg cpu di) v)
+  | Xor, O_imm v -> fun cpu -> set_reg cpu di (Int64.logxor (reg cpu di) v)
+  | Add, O_reg r ->
+      let ri = slot r in
+      fun cpu -> set_reg cpu di (Int64.add (reg cpu di) (reg cpu ri))
+  | Sub, O_reg r ->
+      let ri = slot r in
+      fun cpu -> set_reg cpu di (Int64.sub (reg cpu di) (reg cpu ri))
+  | Mul, O_reg r ->
+      let ri = slot r in
+      fun cpu -> set_reg cpu di (Int64.mul (reg cpu di) (reg cpu ri))
+  | And, O_reg r ->
+      let ri = slot r in
+      fun cpu -> set_reg cpu di (Int64.logand (reg cpu di) (reg cpu ri))
+  | Or, O_reg r ->
+      let ri = slot r in
+      fun cpu -> set_reg cpu di (Int64.logor (reg cpu di) (reg cpu ri))
+  | Xor, O_reg r ->
+      let ri = slot r in
+      fun cpu -> set_reg cpu di (Int64.logxor (reg cpu di) (reg cpu ri))
+  | _, O_imm v -> fun cpu -> set_reg cpu di (alu_apply op ~pc (reg cpu di) v)
+  | _, O_reg r ->
+      let ri = slot r in
+      fun cpu -> set_reg cpu di (alu_apply op ~pc (reg cpu di) (reg cpu ri))
 
 (* Translate one instruction spanning [pc, pc+len). Total: every opcode
    compiles (privileged ones to a charge-then-fault stub, exactly as the
@@ -192,25 +258,23 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
     end
     else
       let bi = Reg.bnd_to_int b in
-      let value : Cpu.t -> int64 =
-        match (ea : Insn.ea) with
-        | Ea_reg r ->
-            let ri = Reg.to_int r in
-            fun cpu -> cpu.Cpu.regs.(ri)
-        | Ea_mem m ->
-            let ea_f = compile_ea m ~end_pc in
-            fun cpu -> Int64.of_int (ea_f cpu)
-      in
-      fun _ (cpu : Cpu.t) ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        let v = value cpu in
-        cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
-        let bd = cpu.Cpu.bnds.(bi) in
-        if if lower then unsigned_lt v bd.Cpu.lower else unsigned_lt bd.Cpu.upper v
-        then raise (Fault.Fault (Bound_fault { bnd = bi; value = v }));
-        cpu.Cpu.pc <- end_pc;
-        U_fall
+      match (ea : Insn.ea) with
+      | Ea_reg r ->
+          let ri = slot r in
+          fun _ (cpu : Cpu.t) ->
+            cpu.Cpu.insns <- cpu.Cpu.insns + 1;
+            cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+            check_bound cpu bi ~lower (reg cpu ri);
+            cpu.Cpu.pc <- end_pc;
+            U_fall
+      | Ea_mem m ->
+          let ea_f = compile_ea m ~end_pc in
+          fun _ (cpu : Cpu.t) ->
+            cpu.Cpu.insns <- cpu.Cpu.insns + 1;
+            cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
+            check_bound cpu bi ~lower (Int64.of_int (ea_f cpu));
+            cpu.Cpu.pc <- end_pc;
+            U_fall
   in
   match insn with
   | Nop | Cfi_label _ ->
@@ -220,30 +284,30 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Mov_imm (r, v) ->
-      let ri = Reg.to_int r in
+      let ri = slot r in
       fun _ cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(ri) <- v;
+        set_reg cpu ri v;
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Mov_reg (d, s) ->
-      let di = Reg.to_int d and si = Reg.to_int s in
+      let di = slot d and si = slot s in
       fun _ cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- cpu.Cpu.regs.(si);
+        set_reg cpu di (reg cpu si);
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Load { dst; src; size } ->
-      let di = Reg.to_int dst in
+      let di = slot dst in
       let ea_f = compile_ea src ~end_pc in
       if size = 1 then
         fun mem cpu ->
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          cpu.Cpu.regs.(di) <- Int64.of_int (Mem.read_u8 mem (ea_f cpu));
+          set_reg cpu di (Int64.of_int (Mem.read_u8 mem (ea_f cpu)));
           cpu.Cpu.pc <- end_pc;
           U_fall
       else
@@ -251,19 +315,18 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          cpu.Cpu.regs.(di) <- Mem.read_u64 mem (ea_f cpu);
+          set_reg cpu di (load64 mem (ea_f cpu));
           cpu.Cpu.pc <- end_pc;
           U_fall
   | Store { dst; src; size } ->
-      let si = Reg.to_int src in
+      let si = slot src in
       let ea_f = compile_ea dst ~end_pc in
       if size = 1 then
         fun mem cpu ->
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u8 mem (ea_f cpu)
-            (Int64.to_int (Int64.logand cpu.Cpu.regs.(si) 0xFFL));
+          Mem.write_u8 mem (ea_f cpu) (Int64.to_int (reg cpu si) land 0xFF);
           cpu.Cpu.pc <- end_pc;
           U_fall
       else
@@ -271,93 +334,66 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u64 mem (ea_f cpu) cpu.Cpu.regs.(si);
+          store64 mem (ea_f cpu) (reg cpu si);
           cpu.Cpu.pc <- end_pc;
           U_fall
   | Push r ->
-      let ri = Reg.to_int r in
+      let ri = slot r in
       fun mem cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
         (* store before the sp update: fault atomicity *)
-        let sp = Int64.sub cpu.Cpu.regs.(sp_i) 8L in
-        Mem.write_u64 mem
-          (Int64.to_int (Int64.logand sp addr_mask))
-          cpu.Cpu.regs.(ri);
-        cpu.Cpu.regs.(sp_i) <- sp;
+        let sp = Int64.sub (reg cpu sp_o) 8L in
+        store64 mem (to_addr sp) (reg cpu ri);
+        set_reg cpu sp_o sp;
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Pop r ->
-      let ri = Reg.to_int r in
+      let ri = slot r in
       fun mem cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let sp = cpu.Cpu.regs.(sp_i) in
-        let v = Mem.read_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) in
-        cpu.Cpu.regs.(sp_i) <- Int64.add sp 8L;
-        cpu.Cpu.regs.(ri) <- v;
+        let sp = reg cpu sp_o in
+        let v = load64 mem (to_addr sp) in
+        set_reg cpu sp_o (Int64.add sp 8L);
+        set_reg cpu ri v;
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Lea (r, m) ->
-      let ri = Reg.to_int r in
+      let ri = slot r in
       let ea_f = compile_ea m ~end_pc in
       fun _ cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(ri) <- Int64.of_int (ea_f cpu);
-        cpu.Cpu.pc <- end_pc;
-        U_fall
-  | Alu (Add, d, O_imm v) ->
-      let di = Reg.to_int d in
-      fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- Int64.add cpu.Cpu.regs.(di) v;
-        cpu.Cpu.pc <- end_pc;
-        U_fall
-  | Alu (Add, d, O_reg r) ->
-      let di = Reg.to_int d and ri = Reg.to_int r in
-      fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- Int64.add cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri);
-        cpu.Cpu.pc <- end_pc;
-        U_fall
-  | Alu (Sub, d, O_imm v) ->
-      let di = Reg.to_int d in
-      fun _ cpu ->
-        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
-        cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- Int64.sub cpu.Cpu.regs.(di) v;
+        set_reg cpu ri (Int64.of_int (ea_f cpu));
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Alu (op, d, o) ->
-      let di = Reg.to_int d in
-      let f = compile_alu op ~pc and get = compile_operand o in
+      let core = alu_core op ~pc d o in
       fun _ cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.regs.(di) <- f cpu.Cpu.regs.(di) (get cpu);
+        core cpu;
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Cmp (a, O_imm v) ->
-      let ai = Reg.to_int a in
+      let ai = slot a in
       fun _ cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        let x = cpu.Cpu.regs.(ai) in
+        let x = reg cpu ai in
         cpu.Cpu.flag_eq <- Int64.equal x v;
         cpu.Cpu.flag_lt <- Int64.compare x v < 0;
         cpu.Cpu.pc <- end_pc;
         U_fall
   | Cmp (a, O_reg r) ->
-      let ai = Reg.to_int a and ri = Reg.to_int r in
+      let ai = slot a and ri = slot r in
       fun _ cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        let x = cpu.Cpu.regs.(ai) and y = cpu.Cpu.regs.(ri) in
+        let x = reg cpu ai and y = reg cpu ri in
         cpu.Cpu.flag_eq <- Int64.equal x y;
         cpu.Cpu.flag_lt <- Int64.compare x y < 0;
         cpu.Cpu.pc <- end_pc;
@@ -385,31 +421,29 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        let sp = Int64.sub cpu.Cpu.regs.(sp_i) 8L in
-        Mem.write_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) ret;
-        cpu.Cpu.regs.(sp_i) <- sp;
+        let sp = Int64.sub (reg cpu sp_o) 8L in
+        store64 mem (to_addr sp) ret;
+        set_reg cpu sp_o sp;
         cpu.Cpu.pc <- tgt;
         U_fall
   | Jmp_reg r ->
-      let ri = Reg.to_int r in
+      let ri = slot r in
       fun _ cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
-        cpu.Cpu.pc <-
-          Int64.to_int (Int64.logand cpu.Cpu.regs.(ri) addr_mask);
+        cpu.Cpu.pc <- to_addr (reg cpu ri);
         U_fall
   | Call_reg r ->
-      let ri = Reg.to_int r in
+      let ri = slot r in
       let ret = Int64.of_int end_pc in
       fun mem cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        let sp = Int64.sub cpu.Cpu.regs.(sp_i) 8L in
-        Mem.write_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) ret;
-        cpu.Cpu.regs.(sp_i) <- sp;
-        cpu.Cpu.pc <-
-          Int64.to_int (Int64.logand cpu.Cpu.regs.(ri) addr_mask);
+        let sp = Int64.sub (reg cpu sp_o) 8L in
+        store64 mem (to_addr sp) ret;
+        set_reg cpu sp_o sp;
+        cpu.Cpu.pc <- to_addr (reg cpu ri);
         U_fall
   | Jmp_mem m ->
       let ea_f = compile_ea m ~end_pc in
@@ -417,8 +451,7 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        cpu.Cpu.pc <-
-          Int64.to_int (Int64.logand (Mem.read_u64 mem (ea_f cpu)) addr_mask);
+        cpu.Cpu.pc <- to_addr (load64 mem (ea_f cpu));
         U_fall
   | Call_mem m ->
       let ea_f = compile_ea m ~end_pc in
@@ -427,22 +460,22 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let target = Mem.read_u64 mem (ea_f cpu) in
+        let target = load64 mem (ea_f cpu) in
         cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-        let sp = Int64.sub cpu.Cpu.regs.(sp_i) 8L in
-        Mem.write_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) ret;
-        cpu.Cpu.regs.(sp_i) <- sp;
-        cpu.Cpu.pc <- Int64.to_int (Int64.logand target addr_mask);
+        let sp = Int64.sub (reg cpu sp_o) 8L in
+        store64 mem (to_addr sp) ret;
+        set_reg cpu sp_o sp;
+        cpu.Cpu.pc <- to_addr target;
         U_fall
   | Ret ->
       fun mem cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-        let sp = cpu.Cpu.regs.(sp_i) in
-        let v = Mem.read_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) in
-        cpu.Cpu.regs.(sp_i) <- Int64.add sp 8L;
-        cpu.Cpu.pc <- Int64.to_int (Int64.logand v addr_mask);
+        let sp = reg cpu sp_o in
+        let v = load64 mem (to_addr sp) in
+        set_reg cpu sp_o (Int64.add sp 8L);
+        cpu.Cpu.pc <- to_addr v;
         U_fall
   | Ret_imm n ->
       let adj = Int64.of_int n in
@@ -451,10 +484,10 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
         cpu.Cpu.loads <- cpu.Cpu.loads + 1;
         (* the pop may fault; sp commits only afterwards *)
-        let sp = cpu.Cpu.regs.(sp_i) in
-        let v = Mem.read_u64 mem (Int64.to_int (Int64.logand sp addr_mask)) in
-        cpu.Cpu.regs.(sp_i) <- Int64.add (Int64.add sp 8L) adj;
-        cpu.Cpu.pc <- Int64.to_int (Int64.logand v addr_mask);
+        let sp = reg cpu sp_o in
+        let v = load64 mem (to_addr sp) in
+        set_reg cpu sp_o (Int64.add (Int64.add sp 8L) adj);
+        cpu.Cpu.pc <- to_addr v;
         U_fall
   | Bndcl (b, ea) -> guard true b ea
   | Bndcu (b, ea) -> guard false b ea
@@ -474,21 +507,19 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
   | Wrfsbase _ -> priv "wrfsbase"
   | Wrgsbase _ -> priv "wrgsbase"
   | Vscatter { base; index; scale; src } ->
-      let bi = Reg.to_int base and ii = Reg.to_int index in
-      let si = Reg.to_int src in
+      let bo = slot base and io = slot index in
+      let so = slot src in
       let s = Int64.of_int scale in
       fun mem cpu ->
         cpu.Cpu.insns <- cpu.Cpu.insns + 1;
         cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
         cpu.Cpu.stores <- cpu.Cpu.stores + 4;
-        let b = cpu.Cpu.regs.(bi) and i = cpu.Cpu.regs.(ii) in
+        let b = reg cpu bo and i = reg cpu io in
         for lane = 0 to 3 do
           let a =
             Int64.add b (Int64.mul (Int64.add i (Int64.of_int lane)) s)
           in
-          Mem.write_u64 mem
-            (Int64.to_int (Int64.logand a addr_mask))
-            cpu.Cpu.regs.(si)
+          store64 mem (to_addr a) (reg cpu so)
         done;
         cpu.Cpu.pc <- end_pc;
         U_fall
@@ -563,47 +594,42 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
     cpu.Cpu.insns <- cpu.Cpu.insns + 1;
     cpu.Cpu.cycles <- cpu.Cpu.cycles + cost1;
     let a = ea_f cpu in
-    let v = Int64.of_int a in
-    cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
-    let bd = cpu.Cpu.bnds.(bi1) in
-    if if lower1 then unsigned_lt v bd.Cpu.lower else unsigned_lt bd.Cpu.upper v
-    then raise (Fault.Fault (Bound_fault { bnd = bi1; value = v }));
+    check_bound cpu bi1 ~lower:lower1 (Int64.of_int a);
     cpu.Cpu.pc <- pc2;
     a
   in
   let part2 : Mem.t -> Cpu.t -> int -> ustat =
     match second with
     | S_load (dst, size) ->
-        let di = Reg.to_int dst in
+        let di = slot dst in
         if size = 1 then fun mem cpu a ->
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          cpu.Cpu.regs.(di) <- Int64.of_int (Mem.read_u8 mem a);
+          set_reg cpu di (Int64.of_int (Mem.read_u8 mem a));
           cpu.Cpu.pc <- end2;
           U_fall
         else fun mem cpu a ->
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          cpu.Cpu.regs.(di) <- Mem.read_u64 mem a;
+          set_reg cpu di (load64 mem a);
           cpu.Cpu.pc <- end2;
           U_fall
     | S_store (src, size) ->
-        let si = Reg.to_int src in
+        let si = slot src in
         if size = 1 then fun mem cpu a ->
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u8 mem a
-            (Int64.to_int (Int64.logand cpu.Cpu.regs.(si) 0xFFL));
+          Mem.write_u8 mem a (Int64.to_int (reg cpu si) land 0xFF);
           cpu.Cpu.pc <- end2;
           U_fall
         else fun mem cpu a ->
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u64 mem a cpu.Cpu.regs.(si);
+          store64 mem a (reg cpu si);
           cpu.Cpu.pc <- end2;
           U_fall
     | S_guard (lower2, b2) ->
@@ -611,13 +637,7 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
         fun _ cpu a ->
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
-          let v = Int64.of_int a in
-          cpu.Cpu.bound_checks <- cpu.Cpu.bound_checks + 1;
-          let bd = cpu.Cpu.bnds.(bi2) in
-          if
-            if lower2 then unsigned_lt v bd.Cpu.lower
-            else unsigned_lt bd.Cpu.upper v
-          then raise (Fault.Fault (Bound_fault { bnd = bi2; value = v }));
+          check_bound cpu bi2 ~lower:lower2 (Int64.of_int a);
           cpu.Cpu.pc <- end2;
           U_fall
   in
@@ -639,85 +659,38 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
    unit that charges [insns]/[cycles] in bulk and executes the cores
    back to back — legal because the fast variant only runs when the
    remaining fuel covers the whole unit, so there is no observation
-   point inside the run. The safe variant is
-   built from the ordinary per-instruction bodies. *)
-let core_of (insn : Insn.t) ~pc : (Cpu.t -> unit) option =
+   point inside the run. The safe variant replays the same cores one
+   instruction at a time (see [pure_unit]). *)
+let is_pure (insn : Insn.t) =
   match insn with
-  | Nop -> Some (fun _ -> ())
+  | Nop | Mov_imm _ | Mov_reg _ | Cmp _ -> true
+  | Alu ((Divu | Remu), _, _) -> false (* can fault: needs a full body *)
+  | Alu _ -> true
+  | _ -> false
+
+let core_of (insn : Insn.t) ~pc : Cpu.t -> unit =
+  match insn with
+  | Nop -> fun _ -> ()
   | Mov_imm (d, v) ->
-      let di = Reg.to_int d in
-      Some (fun cpu -> cpu.Cpu.regs.(di) <- v)
+      let di = slot d in
+      fun cpu -> set_reg cpu di v
   | Mov_reg (d, s) ->
-      let di = Reg.to_int d and si = Reg.to_int s in
-      Some (fun cpu -> cpu.Cpu.regs.(di) <- cpu.Cpu.regs.(si))
-  | Alu ((Divu | Remu), _, _) -> None (* can fault: needs a full body *)
-  | Alu (op, d, o) -> (
-      let di = Reg.to_int d in
-      match (op, o) with
-      | Add, O_imm v ->
-          Some (fun cpu -> cpu.Cpu.regs.(di) <- Int64.add cpu.Cpu.regs.(di) v)
-      | Sub, O_imm v ->
-          Some (fun cpu -> cpu.Cpu.regs.(di) <- Int64.sub cpu.Cpu.regs.(di) v)
-      | Mul, O_imm v ->
-          Some (fun cpu -> cpu.Cpu.regs.(di) <- Int64.mul cpu.Cpu.regs.(di) v)
-      | And, O_imm v ->
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <- Int64.logand cpu.Cpu.regs.(di) v)
-      | Or, O_imm v ->
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <- Int64.logor cpu.Cpu.regs.(di) v)
-      | Xor, O_imm v ->
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <- Int64.logxor cpu.Cpu.regs.(di) v)
-      | Add, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.add cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | Sub, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.sub cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | Mul, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.mul cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | And, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.logand cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | Or, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.logor cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | Xor, O_reg r ->
-          let ri = Reg.to_int r in
-          Some (fun cpu ->
-              cpu.Cpu.regs.(di) <-
-                Int64.logxor cpu.Cpu.regs.(di) cpu.Cpu.regs.(ri))
-      | (Shl | Shr), _ ->
-          let f = compile_alu op ~pc and get = compile_operand o in
-          Some (fun cpu -> cpu.Cpu.regs.(di) <- f cpu.Cpu.regs.(di) (get cpu))
-      | (Divu | Remu), _ -> None)
+      let di = slot d and si = slot s in
+      fun cpu -> set_reg cpu di (reg cpu si)
+  | Alu (op, d, o) -> alu_core op ~pc d o
   | Cmp (a, O_imm v) ->
-      let ai = Reg.to_int a in
-      Some
-        (fun cpu ->
-          let x = cpu.Cpu.regs.(ai) in
-          cpu.Cpu.flag_eq <- Int64.equal x v;
-          cpu.Cpu.flag_lt <- Int64.compare x v < 0)
+      let ai = slot a in
+      fun cpu ->
+        let x = reg cpu ai in
+        cpu.Cpu.flag_eq <- Int64.equal x v;
+        cpu.Cpu.flag_lt <- Int64.compare x v < 0
   | Cmp (a, O_reg r) ->
-      let ai = Reg.to_int a and ri = Reg.to_int r in
-      Some
-        (fun cpu ->
-          let x = cpu.Cpu.regs.(ai) and y = cpu.Cpu.regs.(ri) in
-          cpu.Cpu.flag_eq <- Int64.equal x y;
-          cpu.Cpu.flag_lt <- Int64.compare x y < 0)
-  | _ -> None
+      let ai = slot a and ri = slot r in
+      fun cpu ->
+        let x = reg cpu ai and y = reg cpu ri in
+        cpu.Cpu.flag_eq <- Int64.equal x y;
+        cpu.Cpu.flag_lt <- Int64.compare x y < 0
+  | _ -> invalid_arg "Jit.core_of: not a pure register instruction"
 
 (* A direct branch as the run's tail: it only sets pc, so fusing it
    (cmp+branch is the classic pair) costs nothing extra. *)
@@ -781,16 +754,47 @@ let rec seq_cores = function
         f cpu;
         g cpu
 
-let pure_unit ~(cores : (Cpu.t -> unit) list) ~(bodies : body array) ~k
-    ~total_cost : body * unit_fn =
-  let ops = seq_cores cores in
-  let fast _ cpu =
+(* The fast variant runs the cores back to back under one bulk charge.
+   The safe variant replays the same cores one instruction at a time —
+   each with its own charge and pc parking, fuel checked in between —
+   so a pure run needs no per-instruction bodies. [tail] is the
+   direct-branch core that ends the run, if any; [costs] covers the
+   cores then the tail, [ends] the end pc of each core. *)
+let pure_unit ~(cores : (Cpu.t -> unit) array) ~tail ~(costs : int array)
+    ~(ends : int array) : body * unit_fn =
+  let k = Array.length costs and run = Array.length cores in
+  let total_cost = Array.fold_left ( + ) 0 costs in
+  let park =
+    match tail with
+    | Some f -> f
+    | None ->
+        let end_pc = ends.(run - 1) in
+        fun cpu -> cpu.Cpu.pc <- end_pc
+  in
+  let ops = seq_cores (Array.to_list cores @ [ park ]) in
+  let fast _ (cpu : Cpu.t) =
     cpu.Cpu.insns <- cpu.Cpu.insns + k;
     cpu.Cpu.cycles <- cpu.Cpu.cycles + total_cost;
     ops cpu;
     U_fall
   in
-  (fast, safe_of_bodies bodies)
+  let safe _ (cpu : Cpu.t) fuel =
+    let rec go j =
+      if j > 0 && fuel <= j then U_stop Stop_quantum
+      else begin
+        cpu.Cpu.insns <- cpu.Cpu.insns + 1;
+        cpu.Cpu.cycles <- cpu.Cpu.cycles + costs.(j);
+        if j < run then begin
+          cores.(j) cpu;
+          cpu.Cpu.pc <- ends.(j)
+        end
+        else park cpu;
+        if j + 1 < k then go (j + 1) else U_fall
+      end
+    in
+    go 0
+  in
+  (fast, safe)
 
 (* ---- block compilation ---- *)
 
@@ -825,7 +829,7 @@ let compile t (b : Decode_cache.block) : compiled =
   done;
   (* does a guard+memory superinstruction start at i? *)
   let pair_at i =
-    (not b.fragile) && i + 1 < n
+    i + 1 < n
     &&
     match guard_of (fst b.insns.(i)) with
     | Some (_, _, m) when fusable_mem m && not elided.(i) -> (
@@ -837,9 +841,18 @@ let compile t (b : Decode_cache.block) : compiled =
         | _ -> false)
     | _ -> false
   in
+  (* Unit formation keeps one invariant on fragile blocks: a write ends
+     its unit. Pure runs and guard+load / guard+guard pairs never write,
+     a guard+store pair ends at its store, and chains are cut after a
+     write — so revalidating after each writing unit sees every store
+     that could rewrite the block before the next instruction runs. *)
   let units = ref [] in
-  (* (fast, safe, insns) in reverse order *)
-  let emit fs k = units := (fs, k) :: !units in
+  (* ((fast, safe), insns, revalidate) in reverse order *)
+  let next = ref 0 in
+  let emit fs k =
+    next := !next + k;
+    units := (fs, k, b.fragile && b.writes.(!next - 1)) :: !units
+  in
   let body i =
     let insn, len = b.insns.(i) in
     compile_body ~elided:elided.(i) t insn ~pc:pcs.(i) ~len
@@ -870,20 +883,11 @@ let compile t (b : Decode_cache.block) : compiled =
         2;
       i := !i + 2
     end
-    else if b.fragile then begin
-      (* single-instruction units so the interpreter can revalidate the
-         block between instructions (self-modifying code) *)
-      emit (single (body !i)) 1;
-      i := !i + 1
-    end
     else begin
       (* maximal pure-register run starting at i, with an optional
          direct-branch tail (cmp+branch fusion falls out of this) *)
       let run = ref 0 in
-      while
-        !i + !run < n
-        && core_of (fst b.insns.(!i + !run)) ~pc:pcs.(!i + !run) <> None
-      do
+      while !i + !run < n && is_pure (fst b.insns.(!i + !run)) do
         incr run
       done;
       let tail =
@@ -894,38 +898,24 @@ let compile t (b : Decode_cache.block) : compiled =
       let kk = !run + (match tail with Some _ -> 1 | None -> 0) in
       if kk >= 2 then begin
         (* one bulk-charged unit over the whole run *)
-        let core j =
-          match core_of (fst b.insns.(j)) ~pc:pcs.(j) with
-          | Some f -> f
-          | None -> assert false
-        in
-        let park =
-          match tail with
-          | Some f -> f
-          | None ->
-              let end_pc = pcs.(!i + !run) in
-              fun cpu -> cpu.Cpu.pc <- end_pc
-        in
-        let cores =
-          List.init !run (fun j -> core (!i + j)) @ [ park ]
-        in
-        let total_cost = ref 0 in
-        for j = !i to !i + kk - 1 do
-          total_cost := !total_cost + Cost.of_insn (fst b.insns.(j))
-        done;
-        let bodies = Array.init kk (fun j -> body (!i + j)) in
-        emit (pure_unit ~cores ~bodies ~k:kk ~total_cost:!total_cost) kk;
+        let at j = fst b.insns.(!i + j) in
+        let cores = Array.init !run (fun j -> core_of (at j) ~pc:pcs.(!i + j)) in
+        let costs = Array.init kk (fun j -> Cost.of_insn (at j)) in
+        let ends = Array.init !run (fun j -> pcs.(!i + j + 1)) in
+        emit (pure_unit ~cores ~tail ~costs ~ends) kk;
         i := !i + kk
       end
       else begin
         (* chain up to four straight-line bodies, cutting before the
-           next guard+memory superinstruction or pure run *)
+           next guard+memory superinstruction or pure run, and — in a
+           fragile block — right after a write *)
         let k = ref 1 in
         while
           !k < 4
           && !i + !k < n
+          && (not (b.fragile && b.writes.(!i + !k - 1)))
           && (not (pair_at (!i + !k)))
-          && core_of (fst b.insns.(!i + !k)) ~pc:pcs.(!i + !k) = None
+          && not (is_pure (fst b.insns.(!i + !k)))
         do
           incr k
         done;
@@ -941,21 +931,15 @@ let compile t (b : Decode_cache.block) : compiled =
       end
     end
   done;
-  let us = List.rev !units in
-  let insn_writes = function
-    | Insn.Store _ | Insn.Push _ | Insn.Call _ | Insn.Call_reg _
-    | Insn.Call_mem _ | Insn.Vscatter _ ->
-        true
-    | _ -> false
-  in
+  let us = Array.of_list (List.rev !units) in
   {
     entry = b.entry;
     src = b;
-    units_fast = Array.of_list (List.map (fun ((f, _), _) -> f) us);
-    units_safe = Array.of_list (List.map (fun ((_, s), _) -> s) us);
-    unit_insns = Array.of_list (List.map snd us);
-    fragile = b.fragile;
-    writes = Array.exists (fun (insn, _) -> insn_writes insn) b.insns;
+    units_fast = Array.map (fun ((f, _), _, _) -> f) us;
+    units_safe = Array.map (fun ((_, s), _, _) -> s) us;
+    unit_insns = Array.map (fun (_, k, _) -> k) us;
+    revalidate = Array.map (fun (_, _, r) -> r) us;
+    writes = Array.exists Fun.id b.writes;
   }
 
 (* ---- the code cache ---- *)

@@ -10,9 +10,11 @@
     (re-checks fuel at every internal instruction boundary, so quantum
     expiry — and AEX injected by fuel slicing — stops mid-unit on the
     same boundary as the interpreter). Compiled blocks reuse
-    the source block's page-generation snapshot for invalidation, and
-    blocks on writable+executable pages compile to single-instruction
-    units so the interpreter can revalidate between instructions.
+    the source block's page-generation snapshot for invalidation. Blocks
+    on writable+executable pages (every SIP's code: SGX1 fixes page
+    permissions at EADD, so the LibOS maps code RWX) are fused too, but
+    each instruction that writes memory ends its unit, and the
+    interpreter revalidates the block after such a unit.
 
     Translation-time guard elision: bndcl/bndcu whose address is
     registered via {!elide_fact} (sourced from
@@ -43,7 +45,10 @@ type compiled = {
   units_fast : body array;
   units_safe : unit_fn array;
   unit_insns : int array;  (** original instructions per unit *)
-  fragile : bool;  (** revalidate [src] between units when replaying *)
+  revalidate : bool array;
+      (** [revalidate.(u)]: the block is fragile and unit [u] ends at an
+          instruction that writes memory, so [src] must be revalidated
+          before unit [u + 1] runs *)
   writes : bool;
       (** some instruction writes memory; the interpreter's self-loop
           re-entry revalidates only such blocks *)

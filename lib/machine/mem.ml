@@ -171,13 +171,20 @@ let ensure_resident t ~addr ~len =
             pager p
         done
 
+(* The checked accessors are a unit-returning check followed by a raw
+   access, and the JIT inlines exactly that pair over [raw]: an [int64]
+   returned from (or passed to) a function in another module is boxed
+   whenever the call is not inlined, as under [-opaque]. *)
+let check_write t addr len =
+  check_access t addr len Write;
+  touch_code t ~addr ~len
+
 let read_u8 t addr =
   check_access t addr 1 Read;
   Char.code (Bytes.get t.data addr)
 
 let write_u8 t addr v =
-  check_access t addr 1 Write;
-  touch_code t ~addr ~len:1;
+  check_write t addr 1;
   Bytes.set t.data addr (Char.chr (v land 0xFF))
 
 let read_u64 t addr =
@@ -185,8 +192,7 @@ let read_u64 t addr =
   Bytes.get_int64_le t.data addr
 
 let write_u64 t addr v =
-  check_access t addr 8 Write;
-  touch_code t ~addr ~len:8;
+  check_write t addr 8;
   Bytes.set_int64_le t.data addr v
 
 (* Privileged accessors for the LibOS / loader: no permission checks,

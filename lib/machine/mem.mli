@@ -74,7 +74,16 @@ val probe_resident : t -> addr:int -> len:int -> unit
     distinguish "bytes are evicted" from "bytes are not an instruction"
     on decode errors. *)
 
-(** {1 Checked accessors (user-mode semantics)} *)
+(** {1 Checked accessors (user-mode semantics)}
+
+    Each is {!check_access} (reads) or {!check_write} (writes) followed
+    by the plain access to {!raw}; code that must not box an [int64]
+    across a module boundary performs the same pair itself. *)
+
+val check_write : t -> int -> int -> unit
+(** [check_write t addr len] is {!check_access} for [Write] plus the
+    page-generation bump a write into an executable page makes. Call it
+    immediately before writing the span through {!raw}. *)
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit

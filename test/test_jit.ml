@@ -33,17 +33,27 @@ let state_str stop cpu =
     cpu.Cpu.pc cpu.Cpu.flag_eq cpu.Cpu.flag_lt cpu.Cpu.cycles cpu.Cpu.insns
     cpu.Cpu.loads cpu.Cpu.stores cpu.Cpu.bound_checks
     (String.concat ","
-       (Array.to_list (Array.map Int64.to_string cpu.Cpu.regs)))
+       (List.init Reg.count (fun i ->
+            Int64.to_string (Cpu.get cpu (Reg.of_int i)))))
 
 (* A counted loop ending in a syscall gate (fixed-point displacement as
-   in the decode-cache tests) — hot enough to promote. *)
-let loop_prog iters =
+   in the decode-cache tests) — hot enough to promote. With [~store] the
+   body also guards, stores and reloads the running sum on the data page
+   (the default bounds admit every address), so on RWX code the loop
+   block has a write to revalidate after. *)
+let loop_prog ?(store = false) iters =
+  let slot : Insn.mem = Sib { base = Reg.r7; index = None; scale = 1; disp = 0 } in
   let body =
-    [
-      Insn.Alu (Add, Reg.r2, O_imm 3L);
-      Insn.Alu (Sub, Reg.r1, O_imm 1L);
-      Insn.Cmp (Reg.r1, O_imm 0L);
-    ]
+    [ Insn.Alu (Add, Reg.r2, O_imm 3L) ]
+    @ (if store then
+         [
+           Insn.Bndcl (Reg.bnd0, Ea_mem slot);
+           Insn.Bndcu (Reg.bnd0, Ea_mem slot);
+           Insn.Store { dst = slot; src = Reg.r2; size = 8 };
+           Insn.Load { dst = Reg.r5; src = slot; size = 8 };
+         ]
+       else [])
+    @ [ Insn.Alu (Sub, Reg.r1, O_imm 1L); Insn.Cmp (Reg.r1, O_imm 0L) ]
   in
   let body_len = enc_len body in
   let rec fix d =
@@ -51,7 +61,9 @@ let loop_prog iters =
     if -(body_len + len) = d then Insn.Jcc (Ne, d) else fix (-(body_len + len))
   in
   (Insn.Mov_imm (Reg.r1, Int64.of_int iters)
-   :: Insn.Mov_imm (Reg.r2, 0L) :: body)
+   :: Insn.Mov_imm (Reg.r2, 0L)
+   :: Insn.Mov_imm (Reg.r7, Int64.of_int Test_machine.data)
+   :: body)
   @ [ fix (-body_len); Insn.Syscall_gate ]
 
 let disasm_exn oelf =
@@ -242,6 +254,107 @@ let test_midblock_fault_identity () =
   Alcotest.(check bool) "fault deopted out of compiled code" true
     (cpu_j.Cpu.jit_deopts >= 1)
 
+(* --- RWX code: the mapping SIPs run on ---------------------------------------- *)
+
+(* SGX1 fixes page permissions at EADD, so SIP code is RWX and every
+   block is fragile. Fragile blocks still fuse: only a memory write ends
+   a unit early. *)
+let test_rwx_guard_heavy_fuses () =
+  let at disp : Insn.mem =
+    Sib { base = Reg.r1; index = None; scale = 1; disp }
+  in
+  let guard disp = [ Insn.Bndcl (Reg.bnd0, Ea_mem (at disp));
+                     Insn.Bndcu (Reg.bnd0, Ea_mem (at disp)) ] in
+  let prog =
+    [ Insn.Mov_imm (Reg.r1, Int64.of_int Test_machine.data) ]
+    @ guard 0
+    @ [ Insn.Load { dst = Reg.r2; src = at 0; size = 8 };
+        Insn.Alu (Add, Reg.r2, O_imm 5L) ]
+    @ [ Insn.Bndcu (Reg.bnd0, Ea_mem (at 8));
+        Insn.Store { dst = at 8; src = Reg.r2; size = 8 } ]
+    @ guard 16
+    @ [ Insn.Load { dst = Reg.r3; src = at 16; size = 1 };
+        Insn.Alu (Xor, Reg.r3, O_reg Reg.r2);
+        Insn.Cmp (Reg.r3, O_imm 0L);
+        Insn.Syscall_gate ]
+  in
+  let bounds cpu =
+    Cpu.set_bnd cpu Reg.bnd0
+      { Cpu.lower = Int64.of_int Test_machine.data;
+        upper = Int64.of_int (Test_machine.data + 4096 - 1) }
+  in
+  let mem, cpu = setup prog in
+  bounds cpu;
+  let b =
+    match Decode_cache.build (Decode_cache.create ()) mem 4096 with
+    | Some b -> b
+    | None -> Alcotest.fail "block did not build"
+  in
+  Alcotest.(check bool) "RWX block is fragile" true b.Decode_cache.fragile;
+  let c = Jit.compile (Jit.create ()) b in
+  let units = Array.length c.Jit.units_fast in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d units for %d instructions" units
+       (Array.length b.Decode_cache.insns))
+    true
+    (units < Array.length b.Decode_cache.insns);
+  Alcotest.(check int) "one unit ends at the store, and is revalidated after"
+    1
+    (Array.fold_left (fun n r -> if r then n + 1 else n) 0 c.Jit.revalidate);
+  let su = Interp.run mem cpu ~fuel:100 in
+  let mem_j, cpu_j = setup prog in
+  bounds cpu_j;
+  let sj =
+    Interp.run ~cache:(Decode_cache.create ()) ~jit:(Jit.create ~threshold:0 ())
+      mem_j cpu_j ~fuel:100
+  in
+  Alcotest.(check string) "fused RWX block: jit = uncached" (state_str su cpu)
+    (state_str sj cpu_j)
+
+let test_rwx_store_rewrites_next () =
+  (* store, load, load: on r-x code this would chain into one unit. On
+     RWX code the store rewrites the first load's opcode into a syscall
+     gate, so the very next fetch must see the gate *)
+  let gate = Codec.encode Insn.Syscall_gate in
+  let load r : Insn.t =
+    Load { dst = r; src = Sib { base = Reg.r7; index = None; scale = 1; disp = 0 };
+           size = 8 }
+  in
+  let rec fix target =
+    let pre =
+      [
+        Insn.Mov_imm (Reg.r7, Int64.of_int Test_machine.data);
+        Insn.Mov_imm (Reg.r3, Int64.of_int target);
+        Insn.Mov_imm (Reg.r4, Int64.of_int (Char.code gate.[0]));
+        Insn.Store
+          { dst = Sib { base = Reg.r3; index = None; scale = 1; disp = 0 };
+            src = Reg.r4; size = 1 };
+      ]
+    in
+    if 4096 + enc_len pre = target then pre else fix (4096 + enc_len pre)
+  in
+  let prog =
+    fix 4200 @ [ load Reg.r5; load Reg.r6; Insn.Mov_imm (Reg.r1, 99L);
+                 Insn.Syscall_gate ]
+  in
+  let mem, cpu = setup prog in
+  let su = Interp.run mem cpu ~fuel:200 in
+  Alcotest.(check string) "uncached stops at the rewritten gate" "syscall"
+    (Interp.stop_to_string su);
+  let mem_j, cpu_j = setup prog in
+  let sj =
+    Interp.run ~cache:(Decode_cache.create ()) ~jit:(Jit.create ~threshold:0 ())
+      mem_j cpu_j ~fuel:200
+  in
+  Alcotest.(check string) "store rewriting its next insn: jit = uncached"
+    (state_str su cpu) (state_str sj cpu_j);
+  Alcotest.(check bool) "ran compiled, then deopted" true
+    (cpu_j.Cpu.jit_compiles > 0 && cpu_j.Cpu.jit_deopts >= 1);
+  let mem_c, cpu_c = setup prog in
+  let sc = Interp.run ~cache:(Decode_cache.create ()) mem_c cpu_c ~fuel:200 in
+  Alcotest.(check string) "store rewriting its next insn: cached = uncached"
+    (state_str su cpu) (state_str sc cpu_c)
+
 (* --- quantum expiry at every boundary ---------------------------------------- *)
 
 (* The fuzz harness injects AEX by fuel slicing, so quantum expiry must
@@ -250,10 +363,9 @@ let test_midblock_fault_identity () =
    every boundary i, a run with [~fuel:i] must stop bit-identically to
    the uncached loop and resume to the same completion, and (b) a
    period-1 slicing run must match the uncached loop after every stop. *)
-let test_quantum_every_boundary () =
-  let prog = loop_prog 20 in
+let quantum_every_boundary ~code_perm prog =
   let tier ~jit =
-    let mem, cpu = setup ~code_perm:Mem.perm_rx prog in
+    let mem, cpu = setup ~code_perm prog in
     let cache = if jit then Some (Decode_cache.create ()) else None in
     let j = if jit then Some (Jit.create ~threshold:0 ()) else None in
     ((fun fuel -> Interp.run ?cache ?jit:j mem cpu ~fuel), cpu)
@@ -292,6 +404,38 @@ let test_quantum_every_boundary () =
   Alcotest.(check int) "period-1 slicing reached the syscall" n
     cpu_j.Cpu.insns;
   Alcotest.(check bool) "ran compiled" true (cpu_j.Cpu.jit_compiles > 0)
+
+let test_quantum_every_boundary () =
+  quantum_every_boundary ~code_perm:Mem.perm_rx (loop_prog 20)
+
+let test_quantum_every_boundary_rwx () =
+  quantum_every_boundary ~code_perm:Mem.perm_rwx (loop_prog ~store:true 20)
+
+(* --- zero allocation in steady state ----------------------------------------- *)
+
+(* The deterministic host-cost proxy: once the hot loop is compiled, the
+   JIT retires instructions without touching the minor heap — registers
+   live unboxed in [Cpu.regs] and no compiled closure boxes an int64. *)
+let test_jit_steady_state_no_alloc () =
+  List.iter
+    (fun (name, code_perm, prog) ->
+      let mem, cpu = setup ~code_perm prog in
+      let cache = Decode_cache.create () and jit = Jit.create () in
+      ignore (Interp.run ~cache ~jit mem cpu ~fuel:1_000);
+      Alcotest.(check bool) (name ^ ": compiled") true
+        (cpu.Cpu.jit_compiles > 0);
+      let i0 = cpu.Cpu.insns and w0 = Gc.minor_words () in
+      ignore (Interp.run ~cache ~jit mem cpu ~fuel:200_000);
+      let words = Gc.minor_words () -. w0 in
+      let per_insn = words /. float_of_int (cpu.Cpu.insns - i0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f minor words/insn < 0.01" name per_insn)
+        true (per_insn < 0.01))
+    [
+      ("r-x loop", Mem.perm_rx, loop_prog 100_000);
+      ("RWX loop", Mem.perm_rwx, loop_prog 100_000);
+      ("RWX loop with guard, store, load", Mem.perm_rwx, loop_prog ~store:true 100_000);
+    ]
 
 (* --- LibOS: multi-core determinism and stats -------------------------------- *)
 
@@ -348,6 +492,14 @@ let suite =
       test_midblock_fault_identity;
     Alcotest.test_case "quantum at every boundary" `Quick
       test_quantum_every_boundary;
+    Alcotest.test_case "RWX: guard-heavy block fuses" `Quick
+      test_rwx_guard_heavy_fuses;
+    Alcotest.test_case "RWX: store rewrites the next insn" `Quick
+      test_rwx_store_rewrites_next;
+    Alcotest.test_case "RWX: quantum at every boundary, store in loop" `Quick
+      test_quantum_every_boundary_rwx;
+    Alcotest.test_case "steady state allocates nothing" `Quick
+      test_jit_steady_state_no_alloc;
     Alcotest.test_case "LibOS: jit on/off identical + stats" `Quick
       test_libos_jit_on_off_identical;
     Alcotest.test_case "multi-core digest with jit" `Quick

@@ -222,7 +222,8 @@ let cpu_state_str (cpu : Cpu.t) mem =
     cpu.Cpu.loads cpu.Cpu.stores cpu.Cpu.bound_checks cpu.Cpu.dcache_hits
     cpu.Cpu.dcache_misses cpu.Cpu.dcache_invalidations
     (String.concat ","
-       (Array.to_list (Array.map Int64.to_string cpu.Cpu.regs)))
+       (List.init Reg.count (fun i ->
+            Int64.to_string (Cpu.get cpu (Reg.of_int i)))))
     (Hashtbl.hash (Mem.raw mem))
 
 let test_differential_interp () =
