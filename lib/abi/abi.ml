@@ -114,8 +114,9 @@ module Poll = struct
   let entry_size = 24 (* fd, events, revents: three i64 fields *)
 end
 
-(* The epoll-style interest-list family: level-triggered readiness with
-   O(ready) waits. epoll_wait fills an array of {fd; revents} pairs. *)
+(* The epoll-style interest-list family: level-triggered readiness;
+   epoll_wait fills an array of {fd; revents} pairs in ascending fd
+   order, at a cost that follows the events returned. *)
 module Epoll = struct
   let ctl_add = 1
   let ctl_del = 2

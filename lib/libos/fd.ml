@@ -18,18 +18,28 @@ type pipe = {
       (* readiness hooks (epoll watchers); fired on data/space/EOF edges *)
 }
 
-(* Epoll interest list: [interest] maps watched fd -> (requested events,
-   unhook thunk detaching our wake hook from the watched object);
-   [ready] is the candidate set maintained by those hooks, so a wait
-   scans O(ready candidates), never O(watched). Level-triggered:
-   candidates are re-validated against the live readiness predicate and
-   only dropped when genuinely unready. *)
+(* Epoll interest list. A registration is keyed on (fd, watched entry),
+   as Linux keys on (file, fd): [interest] maps a watched fd to its
+   [watch], whose [w_entry] is compared by physical equality with what
+   the fd holds now, so a registration that outlived a [close] (its fd
+   number reused by another object) is recognised as stale. [unhook]
+   detaches our wake hook from the watched object. [ready] is the
+   candidate set maintained by those hooks, ordered by fd, so a wait
+   visits candidates in ascending fd order and stops at [maxevents]:
+   its cost follows the events returned, never the fds watched.
+   Level-triggered: candidates are re-validated against the live
+   readiness predicate and only dropped when genuinely unready or
+   stale. *)
+module Fdset = Set.Make (Int)
+
 type epoll = {
-  interest : (int, int * (unit -> unit)) Hashtbl.t;
-  ready : (int, unit) Hashtbl.t;
+  interest : (int, watch) Hashtbl.t;
+  mutable ready : Fdset.t;
 }
 
-type kind =
+and watch = { w_entry : entry; events : int; unhook : unit -> unit }
+
+and kind =
   | File of { node : Sefs.inode; mutable pos : int; append : bool; writable : bool }
   | Pipe_r of pipe
   | Pipe_w of pipe
@@ -42,7 +52,7 @@ type kind =
   | Console of { err : bool }
   | Proc_file of { content : string; mutable pos : int }
 
-type entry = { mutable refs : int; mutable sflags : int; kind : kind }
+and entry = { mutable refs : int; mutable sflags : int; kind : kind }
 
 let make kind = { refs = 1; sflags = 0; kind }
 
@@ -61,9 +71,9 @@ let release entry =
     | Sock { ep = Some e; _ } -> Net.close_endpoint e
     | Listener l -> Net.close_listener l
     | Epoll e ->
-        Hashtbl.iter (fun _ (_, unhook) -> unhook ()) e.interest;
+        Hashtbl.iter (fun _ w -> w.unhook ()) e.interest;
         Hashtbl.reset e.interest;
-        Hashtbl.reset e.ready
+        e.ready <- Fdset.empty
     | File _ | Sock { ep = None; _ } | Dev_null | Dev_zero | Dev_random _
     | Console _ | Proc_file _ ->
         ()

@@ -11,15 +11,32 @@ type pipe = {
       (** readiness hooks (epoll watchers); fired on data/space/EOF edges *)
 }
 
-(** Epoll interest list: [interest] maps watched fd to (requested
-    events, unhook thunk); [ready] is the candidate set maintained by
-    wake hooks so waits scan O(ready), never O(watched). *)
+(** An epoll instance.
+
+    A registration is keyed on (fd, watched entry), as Linux keys on
+    (file, fd): [interest] maps a watched fd to its {!watch}, and a
+    watch whose [w_entry] is not physically the entry the fd holds now
+    is stale (the fd was closed and its number reused) — it is never
+    reported, ADD replaces it, MOD/DEL see [ENOENT].
+
+    [ready] is the candidate set the wake hooks maintain, ordered by fd:
+    a wait visits it in ascending fd order, drops the stale and unready
+    candidates it passes and stops once it has [maxevents] events, so
+    its cost follows the events returned, never the fds watched. *)
+module Fdset : Set.S with type elt = int
+
 type epoll = {
-  interest : (int, int * (unit -> unit)) Hashtbl.t;
-  ready : (int, unit) Hashtbl.t;
+  interest : (int, watch) Hashtbl.t;
+  mutable ready : Fdset.t;
 }
 
-type kind =
+and watch = {
+  w_entry : entry;  (** the object registered, compared with [==] *)
+  events : int;  (** requested event mask *)
+  unhook : unit -> unit;  (** detach the wake hook from the object *)
+}
+
+and kind =
   | File of { node : Sefs.inode; mutable pos : int; append : bool; writable : bool }
   | Pipe_r of pipe
   | Pipe_w of pipe
@@ -32,7 +49,7 @@ type kind =
   | Console of { err : bool }
   | Proc_file of { content : string; mutable pos : int }
 
-type entry = {
+and entry = {
   mutable refs : int;
   mutable sflags : int;  (** status flags, e.g. [Abi.Open_flags.nonblock] *)
   kind : kind;

@@ -150,7 +150,10 @@ let consult_io t ~send ~len =
       in
       attempt 1
 
-let send t (e : endpoint) src off len =
+(* Span-based transfers: the bytes move in one copy per direction
+   between the caller's storage and the peer's ring (see {!Ring.span}).
+   Fault injection acts on the requested [len], before any byte moves. *)
+let send_spans t (e : endpoint) len copy =
   match consult_io t ~send:true ~len with
   | Some (Sefs.Io_error errno) -> Error errno
   | (Some (Sefs.Short _) | None) as f ->
@@ -162,7 +165,7 @@ let send t (e : endpoint) src off len =
   | Some p ->
       if p.closed then Error Occlum_abi.Abi.Errno.epipe
       else begin
-        let n = Ring.write p.inbox src off len in
+        let n = Ring.write_spans p.inbox len copy in
         t.ocall_bytes <- t.ocall_bytes + n;
         if n = 0 then Error Occlum_abi.Abi.Errno.eagain
         else begin
@@ -172,14 +175,14 @@ let send t (e : endpoint) src off len =
         end
       end
 
-let recv t (e : endpoint) dst off len =
+let recv_spans t (e : endpoint) len copy =
   match consult_io t ~send:false ~len with
   | Some (Sefs.Io_error errno) -> Error errno
   | (Some (Sefs.Short _) | None) as f ->
   let len =
     match f with Some (Sefs.Short n) -> max 0 (min n len) | _ -> len
   in
-  let n = Ring.read e.inbox dst off len in
+  let n = Ring.read_spans e.inbox len copy in
   if n > 0 then begin
     t.ocall_bytes <- t.ocall_bytes + n;
     note_io t ~send:false n;
@@ -192,6 +195,9 @@ let recv t (e : endpoint) dst off len =
     | Some p when not p.closed -> Error Occlum_abi.Abi.Errno.eagain
     | _ -> Ok 0 (* orderly EOF *)
 
+let send t e src off len = send_spans t e len (Ring.from_bytes src off)
+let recv t e dst off len = recv_spans t e len (Ring.to_bytes dst off)
+
 (* --- external (harness-side) API ---------------------------------------- *)
 
 (* The benchmark harness acts as a client on the "network" outside the
@@ -200,7 +206,8 @@ let recv t (e : endpoint) dst off len =
 let external_connect t ~port = connect t ~port
 
 let external_send t e (s : string) =
-  let b = Bytes.of_string s in
+  (* [send] only reads its source, so the string needs no copy *)
+  let b = Bytes.unsafe_of_string s in
   match send t e b 0 (Bytes.length b) with Ok n -> n | Error _ -> 0
 
 let external_recv_all t e =

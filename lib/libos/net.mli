@@ -40,8 +40,24 @@ val pair : ?ring_bytes:int -> unit -> endpoint * endpoint
 val listen : t -> port:int -> backlog:int -> (listener, int) result
 val connect : t -> port:int -> (endpoint, int) result
 val accept : listener -> endpoint option
+
+val send_spans : t -> endpoint -> int -> Ring.span -> (int, int) result
+(** [send_spans t e len copy] appends up to [len] bytes to the peer's
+    inbox; [copy] fills the ring spans straight from the caller's
+    storage. [Error eagain] when the inbox is full, [Error epipe] when
+    the peer is gone. *)
+
+val recv_spans : t -> endpoint -> int -> Ring.span -> (int, int) result
+(** [recv_spans t e len copy] consumes up to [len] bytes of [e]'s inbox
+    through [copy]. [Ok 0] is orderly EOF, [Error eagain] an empty inbox
+    with a live peer. *)
+
 val send : t -> endpoint -> Bytes.t -> int -> int -> (int, int) result
+(** {!send_spans} from a [Bytes.t]. *)
+
 val recv : t -> endpoint -> Bytes.t -> int -> int -> (int, int) result
+(** {!recv_spans} into a [Bytes.t]. *)
+
 val close_endpoint : endpoint -> unit
 
 val close_listener : listener -> unit
@@ -53,9 +69,9 @@ val has_listener : t -> port:int -> bool
 
 val set_io_hook : (send:bool -> len:int -> Sefs.io_fault option) option -> unit
 (** Fault-injection seam: when set, the hook is consulted at the top of
-    every {!send}/{!recv} and may fail the transfer with a transient
-    errno ({!Sefs.Io_error}) or truncate it ({!Sefs.Short}), modelling
-    the untrusted host transport. [None] (the default) restores normal
+    every {!send_spans}/{!recv_spans} and may fail the transfer with a
+    transient errno ({!Sefs.Io_error}) or truncate it ({!Sefs.Short}),
+    modelling the untrusted host transport. [None] (the default) restores normal
     operation; production code never sets it. *)
 
 (** {1 External (harness-side) API} *)

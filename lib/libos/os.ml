@@ -364,6 +364,17 @@ let write_user t p addr (b : Bytes.t) =
   end
   else false
 
+(* Span copies between guest memory at [buf] and a pipe or socket ring:
+   the one copy per direction of the syscall I/O path. The caller has
+   already checked the whole [buf, buf+len) against the SIP's bounds. *)
+let guest_to_ring t buf : Ring.span =
+ fun rbuf roff coff n ->
+  Mem.blit_to_bytes_priv t.mem ~addr:(buf + coff) rbuf ~off:roff ~len:n
+
+let ring_to_guest t buf : Ring.span =
+ fun rbuf roff coff n ->
+  Mem.blit_from_bytes_priv t.mem rbuf ~off:roff ~addr:(buf + coff) ~len:n
+
 let read_user_string t p addr len =
   if len > 65536 then None
   else Option.map Bytes.to_string (read_user t p addr len)
@@ -444,15 +455,18 @@ let batched_call_ns t =
   | Eip -> Int64.div t.cfg.eip_ocall_ns 4L
 
 (* EIP pipes cross enclave boundaries as ciphertext: encrypt on the way
-   out, decrypt on the way in. *)
-let eip_pipe_crypto t chunk =
+   out, decrypt on the way in, over exactly the bytes each ring span
+   moves. *)
+let eip_pipe_crypto t (copy : Ring.span) : Ring.span =
   match t.cfg.mode with
-  | Sip | Linux -> ()
+  | Sip | Linux -> copy
   | Eip ->
       let nonce = Occlum_util.Cipher.derive_nonce "eip-pipe" t.syscalls in
       let key = String.make 32 'p' in
-      Occlum_util.Cipher.encrypt_bytes ~key ~nonce chunk;
-      Occlum_util.Cipher.encrypt_bytes ~key ~nonce chunk
+      fun rbuf roff coff n ->
+        copy rbuf roff coff n;
+        Occlum_util.Cipher.encrypt_sub ~key ~nonce rbuf ~off:roff ~len:n;
+        Occlum_util.Cipher.encrypt_sub ~key ~nonce rbuf ~off:roff ~len:n
 
 (* --- process lifecycle ----------------------------------------------------- *)
 
@@ -778,24 +792,22 @@ let sys_read t p =
     | None -> err Errno.ebadf
     | Some entry -> (
         match entry.kind with
-        | Fd.File f ->
-            if f.append && false then err Errno.einval
-            else (
-              match Sefs.read_file t.sefs f.node ~pos:f.pos ~len with
-              | Error e -> err e
-              | Ok bytes ->
-                  f.pos <- f.pos + Bytes.length bytes;
-                  charge_file_io t ~write:false (Bytes.length bytes);
-                  ignore (write_user t p buf bytes);
-                  ok (Bytes.length bytes))
+        | Fd.File f -> (
+            match Sefs.read_file t.sefs f.node ~pos:f.pos ~len with
+            | Error e -> err e
+            | Ok bytes ->
+                f.pos <- f.pos + Bytes.length bytes;
+                charge_file_io t ~write:false (Bytes.length bytes);
+                ignore (write_user t p buf bytes);
+                ok (Bytes.length bytes))
         | Fd.Pipe_r pipe ->
             if Ring.is_empty pipe.ring then
               if pipe.writers > 0 then block_or_eagain entry else ok 0
             else begin
-              let tmp = Bytes.create len in
-              let n = Ring.read pipe.ring tmp 0 len in
-              eip_pipe_crypto t (Bytes.sub tmp 0 n);
-              ignore (write_user t p buf (Bytes.sub tmp 0 n));
+              let n =
+                Ring.read_spans pipe.ring len
+                  (eip_pipe_crypto t (ring_to_guest t buf))
+              in
               (* copy-out cost, ~4 GB/s *)
               t.clock_ns <- Int64.add t.clock_ns (Int64.of_int (n / 4));
               Fd.pipe_wake pipe; (* writers gained space *)
@@ -806,13 +818,11 @@ let sys_read t p =
             match s.ep with
             | None -> err Errno.einval
             | Some ep -> (
-                let tmp = Bytes.create len in
-                match Net.recv t.net ep tmp 0 len with
+                match Net.recv_spans t.net ep len (ring_to_guest t buf) with
                 | Ok 0 -> ok 0
                 | Ok n ->
                     (* the 1 Gbps wire of the paper's testbed *)
                     t.clock_ns <- Int64.add t.clock_ns (Int64.of_int (8 * n));
-                    ignore (write_user t p buf (Bytes.sub tmp 0 n));
                     ok n
                 | Error e when e = Errno.eagain -> block_or_eagain entry
                 | Error e -> err e))
@@ -857,9 +867,10 @@ let sys_write t p =
             if pipe.readers = 0 then err Errno.epipe
             else if Ring.free_space pipe.ring = 0 then block_or_eagain entry
             else begin
-              let chunk = data () in
-              eip_pipe_crypto t chunk;
-              let n = Ring.write pipe.ring chunk 0 len in
+              let n =
+                Ring.write_spans pipe.ring len
+                  (eip_pipe_crypto t (guest_to_ring t buf))
+              in
               t.clock_ns <- Int64.add t.clock_ns (Int64.of_int (n / 4));
               Fd.pipe_wake pipe; (* readers gained data *)
               ok n
@@ -869,7 +880,7 @@ let sys_write t p =
             match s.ep with
             | None -> err Errno.einval
             | Some ep -> (
-                match Net.send t.net ep (data ()) 0 len with
+                match Net.send_spans t.net ep len (guest_to_ring t buf) with
                 | Ok n ->
                     t.clock_ns <- Int64.add t.clock_ns (Int64.of_int (8 * n));
                     ok n
@@ -1196,19 +1207,19 @@ let fd_ready (entry : Fd.entry) =
       P.pollout
   | Fd.Listener l ->
       if not (Queue.is_empty l.Net.pending) then P.pollin else 0
-  | Fd.Epoll e -> if Hashtbl.length e.Fd.ready > 0 then P.pollin else 0
+  | Fd.Epoll e -> if Fd.Fdset.is_empty e.Fd.ready then 0 else P.pollin
   | Fd.File _ | Fd.Dev_null | Fd.Dev_zero | Fd.Dev_random _ | Fd.Console _
   | Fd.Proc_file _ ->
       P.pollin lor P.pollout
 
 (* Attach an epoll watch: a [mark] closure is hooked onto the watched
-   object's wake list so readiness edges push the fd into the candidate
-   set in O(1). The returned unhook is stored in the interest table.
-   Objects without edges (files, devices) are always-ready and need no
-   hook. *)
+   object's wake list so readiness edges put the fd into the ordered
+   candidate set in O(log n). The returned unhook is stored with the
+   registration. Objects without edges (files, devices) are always-ready
+   and need no hook. *)
 let epoll_watch (e : Fd.epoll) fd (entry : Fd.entry) events =
   let module P = Occlum_abi.Abi.Poll in
-  let mark () = Hashtbl.replace e.Fd.ready fd () in
+  let mark () = e.Fd.ready <- Fd.Fdset.add fd e.Fd.ready in
   let hook get set =
     set (mark :: get ());
     fun () -> set (List.filter (fun f -> f != mark) (get ()))
@@ -1223,9 +1234,42 @@ let epoll_watch (e : Fd.epoll) fd (entry : Fd.entry) events =
         hook (fun () -> pp.Fd.wake) (fun ws -> pp.Fd.wake <- ws)
     | _ -> fun () -> ()
   in
-  Hashtbl.replace e.Fd.interest fd (events, unhook);
+  Hashtbl.replace e.Fd.interest fd { Fd.w_entry = entry; events; unhook };
   (* level-triggered: seed the candidate set if already ready *)
   if fd_ready entry land (events lor P.pollhup) <> 0 then mark ()
+
+(* Drop [fd]'s registration: detach its hook, forget it and its
+   candidacy. *)
+let epoll_forget (e : Fd.epoll) fd (w : Fd.watch) =
+  w.Fd.unhook ();
+  Hashtbl.remove e.Fd.interest fd;
+  e.Fd.ready <- Fd.Fdset.remove fd e.Fd.ready
+
+(* [fd]'s registration if it still watches [entry]. One left over from
+   an object since closed (its fd number now reused) is stale: it is
+   forgotten on sight, as Linux drops a registration when its file
+   goes. *)
+let live_watch (e : Fd.epoll) fd (entry : Fd.entry) =
+  match Hashtbl.find_opt e.Fd.interest fd with
+  | Some w when w.Fd.w_entry == entry -> Some w
+  | Some w ->
+      epoll_forget e fd w;
+      None
+  | None -> None
+
+(* Move the caller's registrations of [fd] that watch [was] onto
+   [entry]: a watch made while a socket was unconnected hooked nothing,
+   and listen retypes the descriptor into a fresh entry. *)
+let rearm_watches p fd ~was (entry : Fd.entry) =
+  Fd.iter p.fds (fun _ watcher ->
+      match watcher.Fd.kind with
+      | Fd.Epoll e -> (
+          match Hashtbl.find_opt e.Fd.interest fd with
+          | Some w when w.Fd.w_entry == was ->
+              w.Fd.unhook ();
+              epoll_watch e fd entry w.Fd.events
+          | _ -> ())
+      | _ -> ())
 
 let sys_socket p =
   ok (Fd.install p.fds (Fd.make (Fd.Sock { ep = None; port = 0 })))
@@ -1247,7 +1291,9 @@ let sys_listen t p =
       | Error e -> err e
       | Ok l ->
           (* retype the descriptor in place *)
-          Fd.install_at p.fds fd { entry with kind = Fd.Listener l };
+          let listener = { entry with kind = Fd.Listener l } in
+          Fd.install_at p.fds fd listener;
+          rearm_watches p fd ~was:entry listener;
           ok 0)
   | Some _ -> err Errno.einval
   | None -> err Errno.ebadf
@@ -1273,17 +1319,7 @@ let sys_connect t p =
       | Ok ep ->
           s.ep <- Some ep;
           s.port <- port;
-          (* a watch registered while unconnected hooked nothing — re-arm
-             it on the live endpoint *)
-          Fd.iter p.fds (fun _ watcher ->
-              match watcher.Fd.kind with
-              | Fd.Epoll e -> (
-                  match Hashtbl.find_opt e.Fd.interest fd with
-                  | Some (events, unhook) ->
-                      unhook ();
-                      epoll_watch e fd entry events
-                  | None -> ())
-              | _ -> ());
+          rearm_watches p fd ~was:entry entry;
           ok 0)
   | Some _ -> err Errno.einval
   | None -> err Errno.ebadf
@@ -1362,7 +1398,7 @@ let sys_epoll_create p =
   ok
     (Fd.install p.fds
        (Fd.make
-          (Fd.Epoll { Fd.interest = Hashtbl.create 16; ready = Hashtbl.create 16 })))
+          (Fd.Epoll { Fd.interest = Hashtbl.create 16; ready = Fd.Fdset.empty })))
 
 let sys_epoll_ctl p =
   let module E = Occlum_abi.Abi.Epoll in
@@ -1375,36 +1411,37 @@ let sys_epoll_ctl p =
         match Fd.find p.fds fd with
         | None -> err Errno.ebadf
         | Some entry ->
-            if op = E.ctl_add then
-              if Hashtbl.mem e.Fd.interest fd then err Errno.eexist
-              else begin
-                epoll_watch e fd entry events;
-                ok 0
-              end
+            if op = E.ctl_add then (
+              match live_watch e fd entry with
+              | Some _ -> err Errno.eexist
+              | None ->
+                  epoll_watch e fd entry events;
+                  ok 0)
             else if op = E.ctl_mod then (
-              match Hashtbl.find_opt e.Fd.interest fd with
+              match live_watch e fd entry with
               | None -> err Errno.enoent
-              | Some (_, unhook) ->
-                  unhook ();
-                  Hashtbl.remove e.Fd.ready fd;
+              | Some w ->
+                  w.Fd.unhook ();
+                  e.Fd.ready <- Fd.Fdset.remove fd e.Fd.ready;
                   epoll_watch e fd entry events;
                   ok 0)
             else if op = E.ctl_del then (
-              match Hashtbl.find_opt e.Fd.interest fd with
+              match live_watch e fd entry with
               | None -> err Errno.enoent
-              | Some (_, unhook) ->
-                  unhook ();
-                  Hashtbl.remove e.Fd.interest fd;
-                  Hashtbl.remove e.Fd.ready fd;
+              | Some w ->
+                  epoll_forget e fd w;
                   ok 0)
             else err Errno.einval)
   | Some _ -> err Errno.einval
 
-(* epoll_wait: scan only the candidate set maintained by the wake hooks
-   — O(ready), never O(watched). Level-triggered: candidates are
-   re-validated against [fd_ready]; those that stopped being ready are
-   dropped (their hook will re-add them on the next edge), and ready
-   ones stay in the set so the next wait reports them again. *)
+(* epoll_wait: visit the candidate set maintained by the wake hooks in
+   ascending fd order and stop at [maxevents] events, so a wait costs
+   O(events returned + candidates dropped), never O(watched).
+   Level-triggered: candidates are re-validated against [fd_ready];
+   those that stopped being ready or whose registration went stale are
+   dropped as they are passed (a hook re-adds an unready one on its next
+   edge), and ready ones stay in the set so the next wait reports them
+   again. *)
 let sys_epoll_wait t p =
   let module E = Occlum_abi.Abi.Epoll in
   let module P = Occlum_abi.Abi.Poll in
@@ -1416,33 +1453,38 @@ let sys_epoll_wait t p =
       if maxevents <= 0 || not (user_ok p buf (maxevents * E.event_size)) then
         err Errno.efault
       else begin
-        let candidates =
-          List.sort compare (Hashtbl.fold (fun fd () acc -> fd :: acc) e.Fd.ready [])
-        in
         let count = ref 0 in
-        List.iter
-          (fun fd ->
-            match Fd.find p.fds fd with
-            | None ->
-                (* closed behind our back: lazily forget the watch *)
-                (match Hashtbl.find_opt e.Fd.interest fd with
-                | Some (_, unhook) -> unhook ()
-                | None -> ());
-                Hashtbl.remove e.Fd.interest fd;
-                Hashtbl.remove e.Fd.ready fd
-            | Some entry -> (
-                match Hashtbl.find_opt e.Fd.interest fd with
-                | None -> Hashtbl.remove e.Fd.ready fd
-                | Some (events, _) ->
-                    let rev = fd_ready entry land (events lor P.pollhup) in
-                    if rev = 0 then Hashtbl.remove e.Fd.ready fd
-                    else if !count < maxevents then begin
-                      let base = buf + (!count * E.event_size) in
-                      Mem.write_u64_priv t.mem base (Int64.of_int fd);
-                      Mem.write_u64_priv t.mem (base + 8) (Int64.of_int rev);
-                      incr count
-                    end))
-          candidates;
+        let drop fd = e.Fd.ready <- Fd.Fdset.remove fd e.Fd.ready in
+        let visit fd =
+          match Fd.find p.fds fd with
+          | None -> (
+              (* closed behind our back: lazily forget the watch *)
+              match Hashtbl.find_opt e.Fd.interest fd with
+              | Some w -> epoll_forget e fd w
+              | None -> drop fd)
+          | Some entry -> (
+              match live_watch e fd entry with
+              | None -> drop fd
+              | Some w ->
+                  let rev = fd_ready entry land (w.Fd.events lor P.pollhup) in
+                  if rev = 0 then drop fd
+                  else begin
+                    let base = buf + (!count * E.event_size) in
+                    Mem.write_u64_priv t.mem base (Int64.of_int fd);
+                    Mem.write_u64_priv t.mem (base + 8) (Int64.of_int rev);
+                    incr count
+                  end)
+        in
+        (* the set is persistent: dropping while walking it is safe *)
+        let rec walk s =
+          if !count < maxevents then
+            match s () with
+            | Seq.Nil -> ()
+            | Seq.Cons (fd, rest) ->
+                visit fd;
+                walk rest
+        in
+        walk (Fd.Fdset.to_seq e.Fd.ready);
         if !count > 0 then begin
           p.wake_time <- None;
           ok !count

@@ -211,21 +211,29 @@ let by_page t ~addr ~len f =
     pos := !pos + chunk
   done
 
-let read_bytes_priv t ~addr ~len =
+let blit_to_bytes_priv t ~addr dst ~off ~len =
   check_range t addr len;
-  if not t.paged then Bytes.sub t.data addr len
-  else begin
-    let out = Bytes.create len in
-    by_page t ~addr ~len (fun a pos chunk -> Bytes.blit t.data a out pos chunk);
-    out
-  end
+  if not t.paged then Bytes.blit t.data addr dst off len
+  else
+    by_page t ~addr ~len (fun a pos chunk ->
+        Bytes.blit t.data a dst (off + pos) chunk)
 
-let write_bytes_priv t ~addr bytes =
-  let len = Bytes.length bytes in
+let blit_from_bytes_priv t src ~off ~addr ~len =
   check_range t addr len;
   touch_code t ~addr ~len;
-  if not t.paged then Bytes.blit bytes 0 t.data addr len
-  else by_page t ~addr ~len (fun a pos chunk -> Bytes.blit bytes pos t.data a chunk)
+  if not t.paged then Bytes.blit src off t.data addr len
+  else
+    by_page t ~addr ~len (fun a pos chunk ->
+        Bytes.blit src (off + pos) t.data a chunk)
+
+let read_bytes_priv t ~addr ~len =
+  check_range t addr len;
+  let out = Bytes.create len in
+  blit_to_bytes_priv t ~addr out ~off:0 ~len;
+  out
+
+let write_bytes_priv t ~addr bytes =
+  blit_from_bytes_priv t bytes ~off:0 ~addr ~len:(Bytes.length bytes)
 
 let read_u64_priv t addr =
   check_range t addr 8;

@@ -95,8 +95,23 @@ val write_u64 : t -> int -> int64 -> unit
     For the LibOS and loader (the runtime TCB): bounds-checked but not
     permission-checked. *)
 
+val blit_to_bytes_priv : t -> addr:int -> Bytes.t -> off:int -> len:int -> unit
+(** [blit_to_bytes_priv t ~addr dst ~off ~len] copies guest
+    [\[addr, addr+len)] into [dst] at [off]. Under paging each page is
+    made resident immediately before its bytes move, so a span larger
+    than the EPC pool copies correctly. *)
+
+val blit_from_bytes_priv : t -> Bytes.t -> off:int -> addr:int -> len:int -> unit
+(** [blit_from_bytes_priv t src ~off ~addr ~len] copies [len] bytes of
+    [src] at [off] into guest memory at [addr], page at a time like
+    {!blit_to_bytes_priv}, bumping the generation of executable pages. *)
+
 val read_bytes_priv : t -> addr:int -> len:int -> Bytes.t
+(** A fresh copy of the span through {!blit_to_bytes_priv}. *)
+
 val write_bytes_priv : t -> addr:int -> Bytes.t -> unit
+(** All of the bytes through {!blit_from_bytes_priv}. *)
+
 val read_u64_priv : t -> int -> int64
 val write_u64_priv : t -> int -> int64 -> unit
 val fill_priv : t -> addr:int -> len:int -> char -> unit

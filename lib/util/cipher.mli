@@ -15,5 +15,10 @@ val encrypt : key:string -> nonce:string -> string -> string
 val encrypt_bytes : key:string -> nonce:string -> Bytes.t -> unit
 (** In-place variant of {!encrypt}. *)
 
+val encrypt_sub : key:string -> nonce:string -> Bytes.t -> off:int -> len:int -> unit
+(** [encrypt_sub ~key ~nonce b ~off ~len] en/decrypts [b]'s
+    [\[off, off+len)] in place, as {!encrypt_bytes} would a copy of it.
+    @raise Invalid_argument on a span outside [b]. *)
+
 val derive_nonce : string -> int -> string
 (** [derive_nonce tag index] is a deterministic per-context nonce. *)

@@ -41,6 +41,78 @@ let prop_ring_fifo =
       Buffer.add_subbytes got dst 0 m;
       Buffer.contents got = Buffer.contents expected)
 
+(* The ring against a FIFO reference model. Each operation's length is
+   drawn relative to the state at that point: 0, more than the free
+   space (or the bytes held), just across the wrap point, or any size up
+   to twice the capacity. Writes and reads alternate between the
+   [Bytes.t] wrappers and [write_spans]/[read_spans] with a counting copy
+   (a transfer is at most two spans). *)
+let prop_ring_model =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl [ 1; 7; 16 * 1024 ])
+        (list_size (int_range 1 40)
+           (triple bool (int_range 0 3) (int_range 0 (32 * 1024)))))
+  in
+  QCheck.Test.make ~name:"ring matches a FIFO model (0, over-full, wrap)"
+    ~count:200 (QCheck.make gen) (fun (cap, ops) ->
+      let r = Ring.create cap in
+      (* the model: every byte ever accepted, and how many were read *)
+      let written = Buffer.create 1024 and consumed = ref 0 in
+      let held () = Buffer.length written - !consumed in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let size kind x ~avail ~wrap =
+        match kind with
+        | 0 -> 0
+        | 1 -> avail + 1 + (x mod 3)
+        | 2 -> wrap + 1 + (x mod 2)
+        | _ -> x mod ((2 * cap) + 1)
+      in
+      List.iteri
+        (fun k (is_write, kind, x) ->
+          let spans = ref 0 in
+          let counted (copy : Ring.span) : Ring.span =
+           fun b ro co n ->
+            incr spans;
+            copy b ro co n
+          in
+          if is_write then begin
+            let free = cap - held () in
+            let wpos = Buffer.length written mod cap in
+            let len = size kind x ~avail:free ~wrap:(cap - wpos) in
+            let base = Buffer.length written in
+            let src =
+              Bytes.init len (fun j -> Char.chr ((base + j) * 31 land 0xFF))
+            in
+            let n =
+              if k mod 2 = 0 then Ring.write r src 0 len
+              else Ring.write_spans r len (counted (Ring.from_bytes src 0))
+            in
+            check (n = min len free);
+            Buffer.add_subbytes written src 0 n
+          end
+          else begin
+            let avail = held () in
+            let len = size kind x ~avail ~wrap:(cap - (!consumed mod cap)) in
+            let dst = Bytes.make (len + 2) '#' in
+            let n =
+              if k mod 2 = 0 then Ring.read r dst 1 len
+              else Ring.read_spans r len (counted (Ring.to_bytes dst 1))
+            in
+            check (n = min len avail);
+            check (Bytes.sub_string dst 1 n = Buffer.sub written !consumed n);
+            (* nothing outside the transfer is touched *)
+            check (Bytes.get dst 0 = '#');
+            check (n = len || Bytes.get dst (1 + n) = '#');
+            consumed := !consumed + n
+          end;
+          check (!spans <= 2);
+          check (Ring.length r = held ());
+          check (Ring.free_space r = cap - held ()))
+        ops;
+      !ok)
+
 (* --- loopback network ------------------------------------------------------ *)
 
 let test_net () =
@@ -254,6 +326,7 @@ let suite =
   [
     Alcotest.test_case "ring basics" `Quick test_ring_basics;
     QCheck_alcotest.to_alcotest prop_ring_fifo;
+    QCheck_alcotest.to_alcotest prop_ring_model;
     Alcotest.test_case "loopback network" `Quick test_net;
     Alcotest.test_case "listener close frees port" `Quick test_listener_close;
     Alcotest.test_case "fd table" `Quick test_fd_table;

@@ -743,6 +743,189 @@ let test_epoll () =
               ];
           ]))
 
+let test_epoll_close_and_reuse () =
+  (* A registration is keyed on (fd, watched object): once the object is
+     closed, a new one that reuses its fd number is not registered. ADD
+     on it succeeds, a wait never reports it under the old mask, and
+     MOD/DEL see ENOENT — as on Linux. *)
+  let module P = Occlum_abi.Abi.Poll in
+  let module E = Occlum_abi.Abi.Epoll in
+  ignore
+    (check_run ~exit_code:0 ~output:""
+       (rt
+          [
+            func "main" []
+              [
+                Let ("fds", Global_addr "_rt_misc_buf");
+                Let ("ep", Syscall (Sys.epoll_create, []));
+                Let ("evb", Call ("malloc", [ i 64 ]));
+                (* ADD replaces a registration left by a closed object *)
+                Expr (Syscall (Sys.pipe, [ v "fds" ]));
+                Let ("w1", Load (v "fds" +: i 8));
+                If (Syscall (Sys.epoll_ctl,
+                             [ v "ep"; i E.ctl_add; v "w1"; i (P.pollin lor P.pollout) ])
+                    <>: i 0, [ Return (i 1) ], []);
+                Expr (Call ("close", [ v "w1" ]));
+                Expr (Syscall (Sys.pipe, [ v "fds" ]));
+                Let ("r2", Load (v "fds"));
+                Let ("w2", Load (v "fds" +: i 8));
+                If (v "r2" <>: v "w1", [ Return (i 2) ], []);
+                If (Syscall (Sys.epoll_ctl, [ v "ep"; i E.ctl_add; v "r2"; i P.pollin ])
+                    <>: i 0, [ Return (i 3) ], []);
+                Expr (Call ("write", [ v "w2"; v "evb"; i 1 ]));
+                If (Syscall (Sys.epoll_wait, [ v "ep"; v "evb"; i 4; i 0 ])
+                    <>: i 1, [ Return (i 4) ], []);
+                If (Load (v "evb") <>: v "r2", [ Return (i 5) ], []);
+                If (Load (v "evb" +: i 8) <>: i P.pollin, [ Return (i 6) ], []);
+                If (Syscall (Sys.epoll_ctl, [ v "ep"; i E.ctl_del; v "r2"; i 0 ])
+                    <>: i 0, [ Return (i 7) ], []);
+                (* a wait never reports a new object under a stale
+                   registration's mask *)
+                If (Syscall (Sys.epoll_ctl,
+                             [ v "ep"; i E.ctl_add; v "w2"; i (P.pollin lor P.pollout) ])
+                    <>: i 0, [ Return (i 8) ], []);
+                Expr (Call ("close", [ v "w2" ]));
+                Expr (Syscall (Sys.pipe, [ v "fds" ]));
+                Let ("r3", Load (v "fds"));
+                Let ("w3", Load (v "fds" +: i 8));
+                If (v "r3" <>: v "w2", [ Return (i 9) ], []);
+                Expr (Call ("write", [ v "w3"; v "evb"; i 1 ]));
+                If (Syscall (Sys.epoll_wait, [ v "ep"; v "evb"; i 4; i 0 ])
+                    <>: i 0, [ Return (i 10) ], []);
+                (* MOD and DEL on a stale registration: ENOENT *)
+                If (Syscall (Sys.epoll_ctl, [ v "ep"; i E.ctl_add; v "w3"; i P.pollout ])
+                    <>: i 0, [ Return (i 11) ], []);
+                Expr (Call ("close", [ v "w3" ]));
+                Expr (Syscall (Sys.pipe, [ v "fds" ]));
+                Let ("r4", Load (v "fds"));
+                If (v "r4" <>: v "w3", [ Return (i 12) ], []);
+                If (Syscall (Sys.epoll_ctl, [ v "ep"; i E.ctl_mod; v "r4"; i P.pollin ])
+                    <>: i Errno.enoent, [ Return (i 13) ], []);
+                If (Syscall (Sys.epoll_ctl, [ v "ep"; i E.ctl_del; v "r4"; i 0 ])
+                    <>: i Errno.enoent, [ Return (i 14) ], []);
+                Return (i 0);
+              ];
+          ]))
+
+let test_epoll_maxevents_order () =
+  (* More ready fds than [maxevents], with closed (stale) candidates
+     before and after the cut: events come back in ascending fd order,
+     the cut repeats while the data is unconsumed (level-triggered), the
+     remainder arrives once it is consumed, and a closed fd is never
+     reported. *)
+  let module P = Occlum_abi.Abi.Poll in
+  let module E = Occlum_abi.Abi.Epoll in
+  let pipe_fds name =
+    [
+      Expr (Syscall (Sys.pipe, [ v "fds" ]));
+      Let (name, Load (v "fds"));
+      Let (name ^ "w", Load (v "fds" +: i 8));
+      If (Syscall (Sys.epoll_ctl, [ v "ep"; i E.ctl_add; v name; i P.pollin ])
+          <>: i 0, [ Return (i 1) ], []);
+      Expr (Call ("write", [ v (name ^ "w"); v "evb"; i 1 ]));
+    ]
+  in
+  let expect_pair code a b =
+    [
+      If (Syscall (Sys.epoll_wait, [ v "ep"; v "evb"; i 2; i 0 ]) <>: i 2,
+          [ Return (i code) ], []);
+      If (Load (v "evb") <>: v a, [ Return (i (code + 1)) ], []);
+      If (Load (v "evb" +: i E.event_size) <>: v b, [ Return (i (code + 2)) ], []);
+    ]
+  in
+  let consume fd = Expr (Call ("read", [ v fd; v "buf"; i 8 ])) in
+  ignore
+    (check_run ~exit_code:0 ~output:""
+       (rt
+          [
+            func "main" []
+              ([
+                 Let ("fds", Global_addr "_rt_misc_buf");
+                 Let ("ep", Syscall (Sys.epoll_create, []));
+                 Let ("evb", Call ("malloc", [ i 64 ]));
+                 Let ("buf", Call ("malloc", [ i 8 ]));
+               ]
+              @ pipe_fds "a" @ pipe_fds "s1" @ pipe_fds "b" @ pipe_fds "c"
+              @ pipe_fds "s2" @ pipe_fds "d"
+              @ [
+                  Expr (Call ("close", [ v "s1" ]));
+                  Expr (Call ("close", [ v "s2" ]));
+                ]
+              @ expect_pair 10 "a" "b"
+              @ expect_pair 20 "a" "b"
+              @ [ consume "a"; consume "b" ]
+              @ expect_pair 30 "c" "d"
+              @ [
+                  consume "c";
+                  consume "d";
+                  If (Syscall (Sys.epoll_wait, [ v "ep"; v "evb"; i 2; i 0 ])
+                      <>: i 0, [ Return (i 40) ], []);
+                  Return (i 0);
+                ]);
+          ]))
+
+let test_blocked_sock_read_allocates_nothing () =
+  (* A SIP blocked in read(sock, buf, 1 MiB) is re-dispatched on every
+     scheduler step; the retry must not cost the LibOS a [len]-sized
+     host buffer each time. *)
+  let port = 9400 and len = 1 lsl 20 in
+  let config =
+    { Os.default_config with
+      domains =
+        { Os.default_config.domains with
+          Occlum_libos.Domain_mgr.max_domains = 2;
+          domain_data_size = 4 * len } }
+  in
+  let os = Os.boot ~config () in
+  let l =
+    match Occlum_libos.Net.listen os.Os.net ~port ~backlog:4 with
+    | Ok l -> l
+    | Error e -> Alcotest.failf "listen: errno %d" e
+  in
+  let prog =
+    rt
+      [
+        func "main" []
+          [
+            Let ("s", Syscall (Sys.socket, []));
+            If (Syscall (Sys.connect, [ v "s"; i port ]) <>: i 0,
+                [ Return (i 1) ], []);
+            Let ("buf", Call ("malloc", [ i len ]));
+            If (v "buf" =: i 0, [ Return (i 2) ], []);
+            Return (Syscall (Sys.recv, [ v "s"; v "buf"; i len ]));
+          ];
+      ]
+  in
+  let oelf =
+    Occlum_toolchain.Compile.compile_exn
+      ~config:{ Occlum_toolchain.Codegen.sfi with heap_size = 2 * len }
+      prog
+  in
+  (match Occlum_verifier.Verify.verify_and_sign oelf with
+  | Ok s -> Os.install_binary os "/bin/app" s
+  | Error _ -> Alcotest.fail "verify");
+  let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+  let blocked () =
+    match Os.find_proc os pid with Some p -> p.Os.state = `Blocked | None -> false
+  in
+  let guard = ref 0 in
+  while (not (blocked ())) && !guard < 10_000 do
+    ignore (Os.step os);
+    incr guard
+  done;
+  Alcotest.(check bool) "SIP blocked in recv" true (blocked ());
+  (* the peer end is accepted here and never written: an idle socket *)
+  ignore (Occlum_libos.Net.accept l);
+  let steps = 1000 in
+  let before = Gc.allocated_bytes () in
+  for _ = 1 to steps do
+    ignore (Os.step os)
+  done;
+  let per_step = (Gc.allocated_bytes () -. before) /. float steps in
+  Alcotest.(check bool) "still blocked" true (blocked ());
+  if per_step >= 4096. then
+    Alcotest.failf "%.0f bytes allocated per step while blocked" per_step
+
 let test_poll_unconnected_socket () =
   (* regression: an unconnected socket must report POLLOUT (connectable)
      so a poll-then-connect loop makes progress, and a peer-closed
@@ -974,11 +1157,126 @@ let test_epc_paging_differential () =
   Alcotest.(check int) "backing drained after destroy" 0
     (Occlum_sgx.Epc.backing_used pool)
 
+let test_paged_ring_round_trips () =
+  (* Pipe and socket round trips whose guest buffers span more pages
+     than a small EPC pool: the LibOS copies guest memory straight to
+     and from the rings page at a time, so every page must be resident
+     when its own bytes move (a residency check over the whole span
+     would let later pages evict earlier ones mid-copy). Output and
+     final state must equal the uncapped run's. *)
+  let n = 60 * 1024 in
+  let fill =
+    [
+      Let ("k", i 0);
+      While (v "k" <: i n,
+             [ Store (v "src" +: v "k", (v "k" *: i 2654435761) +: i 12345);
+               Assign ("k", v "k" +: i 8) ]);
+    ]
+  in
+  let same dst code =
+    [
+      Let ("k", i 0);
+      While (v "k" <: i n,
+             [ If (Load (v dst +: v "k") <>: Load (v "src" +: v "k"),
+                   [ Return (i code) ], []);
+               Assign ("k", v "k" +: i 8) ]);
+    ]
+  in
+  (* [op fd (buf + got) (n - got)] until [n] bytes have moved *)
+  let all op fd buf code =
+    [
+      Let ("got", i 0);
+      While (v "got" <: i n,
+             [ Let ("m", Syscall (op, [ v fd; v buf +: v "got"; i n -: v "got" ]));
+               If (v "m" <=: i 0, [ Return (i code) ], []);
+               Assign ("got", v "got" +: v "m") ]);
+    ]
+  in
+  let prog =
+    rt
+      [
+        func "main" []
+          ([
+             Let ("src", Call ("malloc", [ i n ]));
+             Let ("dst", Call ("malloc", [ i n ]));
+             Let ("dst2", Call ("malloc", [ i n ]));
+             If (v "dst2" =: i 0, [ Return (i 1) ], []);
+           ]
+          @ fill
+          @ [
+              Let ("fds", Global_addr "_rt_misc_buf");
+              Expr (Syscall (Sys.pipe, [ v "fds" ]));
+              Let ("r", Load (v "fds"));
+              Let ("w", Load (v "fds" +: i 8));
+            ]
+          @ all Sys.write "w" "src" 2
+          @ all Sys.read "r" "dst" 3
+          @ same "dst" 4
+          @ [
+              Let ("ls", Syscall (Sys.socket, []));
+              Expr (Syscall (Sys.bind, [ v "ls"; i 9500 ]));
+              If (Syscall (Sys.listen, [ v "ls"; i 4 ]) <>: i 0,
+                  [ Return (i 5) ], []);
+              Let ("cl", Syscall (Sys.socket, []));
+              If (Syscall (Sys.connect, [ v "cl"; i 9500 ]) <>: i 0,
+                  [ Return (i 6) ], []);
+              Let ("srv", Syscall (Sys.accept, [ v "ls" ]));
+            ]
+          @ all Sys.send "cl" "src" 7
+          @ all Sys.recv "srv" "dst2" 8
+          @ same "dst2" 9
+          @ [
+              Let ("sum", i 0);
+              Let ("k", i 0);
+              While (v "k" <: i n,
+                     [ Assign ("sum", (v "sum" *: i 31) ^: Load (v "dst2" +: v "k"));
+                       Assign ("k", v "k" +: i 8) ]);
+              Expr (Call ("print_int", [ v "sum" &: i 0xFFFFFF ]));
+              Return (i 0);
+            ]);
+      ]
+  in
+  let run ?epc () =
+    let os = Os.boot ?epc () in
+    let oelf =
+      Occlum_toolchain.Compile.compile_exn ~config:Occlum_toolchain.Codegen.sfi
+        prog
+    in
+    (match Occlum_verifier.Verify.verify_and_sign oelf with
+    | Ok s -> Os.install_binary os "/bin/app" s
+    | Error _ -> Alcotest.fail "verify");
+    let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+    let status = Os.run ~max_steps:4_000_000 os in
+    let code =
+      match Os.find_proc os pid with Some p -> p.Os.exit_code | None -> -1
+    in
+    Alcotest.(check bool) "run finished" true (status = Os.All_exited);
+    Alcotest.(check int) "exit code" 0 code;
+    os
+  in
+  let base = run () in
+  let pages = 12 in
+  Alcotest.(check bool) "buffers span more pages than the pool" true
+    (n / Occlum_machine.Mem.page_size > pages);
+  let pool = Occlum_sgx.Epc.create ~size:(pages * Occlum_machine.Mem.page_size) () in
+  Occlum_sgx.Epc.enable_paging pool;
+  let paged = run ~epc:pool () in
+  Alcotest.(check string) "console identical" (Os.console_output base)
+    (Os.console_output paged);
+  Alcotest.(check string) "state digest identical" (Os.state_digest base)
+    (Os.state_digest paged);
+  match Occlum_sgx.Epc.paging_stats pool with
+  | Some s ->
+      Alcotest.(check bool) "paging happened" true (s.Occlum_sgx.Epc.ewb > 0)
+  | None -> Alcotest.fail "paging stats missing"
+
 let suite =
   [
     Alcotest.test_case "hello world" `Quick test_hello;
     Alcotest.test_case "EPC paging differential" `Quick
       test_epc_paging_differential;
+    Alcotest.test_case "paged pipe/socket round trips" `Quick
+      test_paged_ring_round_trips;
     Alcotest.test_case "spawn/wait/argv" `Quick test_spawn_wait_argv;
     Alcotest.test_case "spawn missing binary" `Quick test_spawn_missing_binary;
     Alcotest.test_case "wait with no children" `Quick test_wait_echild;
@@ -1003,6 +1301,12 @@ let suite =
     Alcotest.test_case "poll" `Quick test_poll;
     Alcotest.test_case "fcntl O_NONBLOCK -> EAGAIN" `Quick test_nonblock_eagain;
     Alcotest.test_case "epoll ctl/wait semantics" `Quick test_epoll;
+    Alcotest.test_case "epoll registration does not outlive close" `Quick
+      test_epoll_close_and_reuse;
+    Alcotest.test_case "epoll maxevents cut in fd order" `Quick
+      test_epoll_maxevents_order;
+    Alcotest.test_case "blocked socket read allocates nothing" `Quick
+      test_blocked_sock_read_allocates_nothing;
     Alcotest.test_case "poll unconnected/hup socket" `Quick
       test_poll_unconnected_socket;
     Alcotest.test_case "listener close releases port" `Quick
