@@ -925,6 +925,31 @@ let micro_jit () =
   Printf.printf "%-34s %14d deopts (self-modifying kernel)\n" "occlum/jit-smc"
     smc_deopts
 
+(* Host allocation per spawn: a deterministic proxy for the host cost of
+   process creation. One warm-up spawn admits /bin/small; the measured
+   spawn+wait cycles then pay only what every spawn pays (slot scrub,
+   placement, the child's run and exit). Host us/spawn is printed, not
+   recorded: it is host-speed sensitive. *)
+let micro_spawn () =
+  let n = 50 in
+  let os = H.boot H.Occlum in
+  Os.install_binary os "/bin/small"
+    (H.build_for H.Occlum (H.sized_program ~code_kb:14));
+  let cycle () =
+    let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/small" ~args:[] in
+    ignore (Os.wait_pid_exit ~max_steps:200_000 os pid)
+  in
+  cycle ();
+  let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float n in
+  let us = (Unix.gettimeofday () -. t0) *. 1e6 /. float n in
+  record "spawn/minor-words-per-spawn" words;
+  Printf.printf "%-34s %14.0f words/spawn %10.1f host us/spawn\n"
+    "occlum/spawn-sip-minor-words" words us
+
 let micro_eip () =
   let os = H.boot H.Graphene in
   Os.install_binary os "/bin/small"
@@ -1055,6 +1080,7 @@ let () =
   section "ripe" "RIPE attack corpus" ripe;
   section "micro" "Bechamel micro-benchmarks" (fun () ->
       micro ();
+      micro_spawn ();
       micro_eip ();
       micro_dcache ());
   section "jit" "block-JIT tier vs interpreter tiers" micro_jit;

@@ -66,6 +66,7 @@ module Errno = struct
   let enotempty = -39
   let echild = -10
   let esrch = -3
+  let e2big = -7
   let eintr = -4
   let econnrefused = -111
 end

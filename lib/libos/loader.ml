@@ -5,7 +5,15 @@
    3. injects the trampoline — the only way out of the MMDSFI sandbox —
       into the loader-reserved head of the code region and passes its
       address to the program (register r10, stored by _start);
-   4. initializes the MPX bound registers for the domain's layout. *)
+   4. initializes the MPX bound registers for the domain's layout.
+
+   The work splits in two. [admit] is everything that depends only on
+   the binary's bytes — the OELF parse, the signature check and the scan
+   for cfi_label offsets — so a LibOS may do it once per distinct binary
+   and reuse the result. [load] is everything that depends on the slot
+   and the arguments, and runs on every spawn: the size-vs-slot checks,
+   the SGX1 scrub (or SGX2 EAUG), the code copy with its labels patched
+   at the admitted offsets, the trampoline, the data image and argv. *)
 
 open Occlum_machine
 open Occlum_isa
@@ -39,28 +47,39 @@ let cfi_label_value domain_id =
   let b = Bytes.of_string (Codec.encode (Insn.Cfi_label (Int32.of_int domain_id))) in
   Bytes.get_int64_le b 0
 
-(* Patch every cfi_label's id field. In a verified binary the magic
-   occurs exactly at label starts (codec invariant + Stage 1). *)
-let patch_labels code domain_id =
-  let hits = Occlum_util.Bytes_util.find_all ~needle:Codec.cfi_magic code in
-  List.iter
+type admitted = { oelf : Occlum_oelf.Oelf.t; label_offsets : int array }
+
+(* Offsets of every cfi_label in a code image whose id field lies wholly
+   inside it. In a verified binary the magic occurs exactly at label
+   starts (codec invariant + Stage 1). *)
+let label_offsets code =
+  Occlum_util.Bytes_util.find_all ~needle:Codec.cfi_magic code
+  |> List.filter (fun off -> off + 8 <= Bytes.length code)
+  |> Array.of_list
+
+let patch_at code offsets domain_id =
+  Array.iter
     (fun off ->
-      if off + 8 <= Bytes.length code then begin
-        Bytes.set code (off + 4) (Char.chr (domain_id land 0xFF));
-        Bytes.set code (off + 5) (Char.chr ((domain_id lsr 8) land 0xFF));
-        Bytes.set code (off + 6) '\x00';
-        Bytes.set code (off + 7) '\x00'
-      end)
-    hits
+      Bytes.set code (off + 4) (Char.chr (domain_id land 0xFF));
+      Bytes.set code (off + 5) (Char.chr ((domain_id lsr 8) land 0xFF));
+      Bytes.set code (off + 6) '\x00';
+      Bytes.set code (off + 7) '\x00')
+    offsets
+
+let patch_labels code domain_id = patch_at code (label_offsets code) domain_id
+
+let admit ?(require_signature = true) binary =
+  let oelf = Occlum_oelf.Oelf.of_string binary in
+  if require_signature && not (Occlum_verifier.Signer.check oelf) then
+    fail "binary is not signed by the Occlum verifier";
+  { oelf; label_offsets = label_offsets oelf.code }
 
 (* [dynamic] carries the SGX2 enclave when pages are committed lazily
    (EDMM): the loader EAUGs exactly the pages this binary needs, so no
    scrubbing is required (fresh pages arrive zeroed) and the SIP's reach
    ends at its own last mapped page. *)
-let load ?(require_signature = true) ?dynamic mem (slot : Domain_mgr.slot)
-    (oelf : Occlum_oelf.Oelf.t) ~args =
-  if require_signature && not (Occlum_verifier.Signer.check oelf) then
-    fail "binary is not signed by the Occlum verifier";
+let load ?dynamic mem (slot : Domain_mgr.slot) (adm : admitted) ~args =
+  let oelf = adm.oelf in
   if Bytes.length oelf.code > slot.code_size then
     fail "code too large for the domain (%d > %d)" (Bytes.length oelf.code)
       slot.code_size;
@@ -103,7 +122,7 @@ let load ?(require_signature = true) ?dynamic mem (slot : Domain_mgr.slot)
   end;
   (* code image, with domain ids patched into the labels *)
   let code = Bytes.copy oelf.code in
-  patch_labels code domain_id;
+  patch_at code adm.label_offsets domain_id;
   Mem.write_bytes_priv mem ~addr:c_base code;
   (* the trampoline overwrites the loader-reserved head *)
   Mem.fill_priv mem ~addr:c_base ~len:Occlum_oelf.Oelf.trampoline_reserved '\x00';

@@ -2,7 +2,14 @@
     only verifier-signed binaries; (2) rewrites every cfi_label's id to
     the SIP's domain id; (3) injects the syscall trampoline — the only
     way out of the MMDSFI sandbox — and hands its address to [_start];
-    (4) computes the MPX bound-register values for the domain. *)
+    (4) computes the MPX bound-register values for the domain.
+
+    Loading is split into {!admit}, the checks that depend only on the
+    binary's bytes (parse, signature, cfi_label scan), and {!load}, which
+    places an admitted binary in a slot. A LibOS may admit a binary once
+    and load it many times; everything slot- or argument-dependent —
+    the size-vs-slot checks, the SGX1 scrub or SGX2 EAUG, the label
+    patch, the trampoline, data and argv — stays per load. *)
 
 exception Load_error of string
 
@@ -26,20 +33,39 @@ type image = {
 val cfi_label_value : int -> int64
 
 val patch_labels : Bytes.t -> int -> unit
-(** Rewrite the id field of every cfi_label in a code image. *)
+(** Rewrite the id field of every cfi_label in a code image (find the
+    label offsets, then patch). *)
+
+type admitted = private {
+  oelf : Occlum_oelf.Oelf.t;
+  label_offsets : int array;
+      (** ascending offsets of every cfi_label whose 8 bytes lie wholly
+          inside [oelf.code] *)
+}
+(** A binary that passed every content check. A pure function of the
+    bytes (and [require_signature]), so it may be reused for any spawn of
+    the same bytes. *)
+
+val admit : ?require_signature:bool -> string -> admitted
+(** Parse a serialized OELF, check its verifier signature (unless
+    [require_signature] is [false], the Linux baseline) and record its
+    cfi_label offsets.
+    @raise Occlum_oelf.Oelf.Malformed on a structurally bad binary.
+    @raise Load_error on a missing or bad signature. *)
 
 val load :
-  ?require_signature:bool ->
   ?dynamic:Occlum_sgx.Enclave.t ->
   Occlum_machine.Mem.t ->
   Domain_mgr.slot ->
-  Occlum_oelf.Oelf.t ->
+  admitted ->
   args:string list ->
   image
 (** Scrub the slot if needed (SGX1), or EAUG exactly the pages the
-    binary needs ([dynamic] = the SGX2 enclave), place code (with
-    trampoline) and data (with argv), and describe the initial machine
-    state. @raise Load_error on bad signature or an oversized binary. *)
+    binary needs ([dynamic] = the SGX2 enclave), place code (labels
+    patched to the slot's domain id, plus trampoline) and data (with
+    argv), and describe the initial machine state. [args] must fit the
+    argument area ({!Occlum_toolchain.Layout.args_fit}).
+    @raise Load_error on a binary too large for the slot. *)
 
 val init_cpu : image -> Occlum_machine.Cpu.t -> unit
 (** Set pc/sp/base registers/bounds for the SIP's first thread. *)

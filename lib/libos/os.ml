@@ -87,6 +87,15 @@ let default_config =
     sip_syscall_ns = 100L;
   }
 
+(* A binary that passed [Loader.admit], with the exact bytes it was
+   admitted from and, computed on first use under [jit_elide], the code
+   offsets of its elidable guards. *)
+type admission = {
+  bytes : string;
+  adm : Loader.admitted;
+  elide_offsets : int list Lazy.t;
+}
+
 type t = {
   cfg : config;
   epc : Occlum_sgx.Epc.t;
@@ -102,9 +111,8 @@ type t = {
   jit : Jit.t option;
   jit_facts : (int, unit) Hashtbl.t;
   (* guard-elision facts as absolute pcs, shared by every JIT *)
-  jit_elide_cache : (string, int list) Hashtbl.t;
-  (* binary digest -> elidable guard offsets, so the verifier+Elide
-     analysis runs once per distinct binary, not per spawn *)
+  admissions : (string, admission) Hashtbl.t;
+  (* path -> the bytes last admitted from it (Sip and Linux modes) *)
   domains : Domain_mgr.t;
   procs : (int, proc) Hashtbl.t;
   mutable runq : int list;
@@ -193,7 +201,7 @@ let boot ?(config = default_config) ?(obs = Occlum_obs.Obs.disabled) ?epc
          Some (Jit.create ~elide:jit_facts ())
        else None);
     jit_facts;
-    jit_elide_cache = Hashtbl.create 8;
+    admissions = Hashtbl.create 8;
     domains;
     procs = Hashtbl.create 32;
     runq = [];
@@ -522,7 +530,58 @@ let make_proc t ~parent ~img ~fds ~is_thread ~slot_refs ~path ~eip_enclave =
   end;
   p
 
-(* Spawn a new SIP from a signed binary stored on the encrypted FS. *)
+(* Guard offsets the JIT may skip: the verifier's disassembly fed to
+   [Occlum_analysis.Elide], keeping the dominated-redundant and
+   range-proven classifications. *)
+let elide_offsets oelf =
+  match Occlum_verifier.Verify.verify oelf with
+  | Ok d ->
+      let r = Occlum_analysis.Elide.analyze oelf d in
+      List.filter_map
+        (fun (g : Occlum_analysis.Elide.guard) ->
+          match g.cls with
+          | Occlum_analysis.Elide.Required -> None
+          | Occlum_analysis.Elide.Dominated_redundant
+          | Occlum_analysis.Elide.Range_proven ->
+              Some g.addr)
+        r.Occlum_analysis.Elide.guards
+  | Error _ -> []
+
+(* Admit the bytes just read from [path]. Admission is a pure function
+   of the bytes (the mode and the verifier key are fixed per LibOS), so
+   the one shared LibOS reuses the last admission of [path] when the
+   bytes are exactly equal — a full compare, never a digest — and admits
+   afresh otherwise, remembering the result only once it succeeded. EIP
+   mode never reuses: each EIP is its own enclave with no shared LibOS.
+   @raise Oelf.Malformed / Loader.Load_error as [Loader.admit]. *)
+let admit t path binary =
+  let fresh () =
+    let adm =
+      Loader.admit ~require_signature:(t.cfg.mode <> Linux) binary
+    in
+    if t.obs.Occlum_obs.Obs.enabled then
+      Occlum_obs.Metrics.inc
+        (Occlum_obs.Metrics.counter t.obs.Occlum_obs.Obs.metrics
+           "os.spawn.admissions");
+    { bytes = binary; adm; elide_offsets = lazy (elide_offsets adm.oelf) }
+  in
+  match t.cfg.mode with
+  | Eip -> fresh ()
+  | Sip | Linux -> (
+      match Hashtbl.find_opt t.admissions path with
+      | Some a when String.equal a.bytes binary -> a
+      | _ ->
+          let a = fresh () in
+          Hashtbl.replace t.admissions path a;
+          a)
+
+(* Spawn a new SIP from a signed binary stored on the encrypted FS. The
+   file is read on every spawn; its content checks run only when the
+   bytes differ from the path's last admission ([admit]). Everything
+   that depends on the slot or the arguments — the size checks, the
+   slot scrub, placing code and data — runs every time ([Loader.load]).
+   Every content and argument check comes before a slot is taken, so a
+   rejected spawn holds nothing. *)
 let spawn t ~parent_pid ~path ~args =
   t.spawns <- t.spawns + 1;
   let binary =
@@ -530,11 +589,14 @@ let spawn t ~parent_pid ~path ~args =
     | Ok s -> s
     | Error e -> raise (Spawn_error e)
   in
-  let oelf =
-    match Occlum_oelf.Oelf.of_string binary with
-    | o -> o
+  let a =
+    match admit t path binary with
+    | a -> a
     | exception Occlum_oelf.Oelf.Malformed _ -> raise (Spawn_error Errno.einval)
+    | exception Loader.Load_error _ -> raise (Spawn_error Errno.eaccess)
   in
+  if not (Occlum_toolchain.Layout.args_fit args) then
+    raise (Spawn_error Errno.e2big);
   let slot =
     match Domain_mgr.acquire t.domains with
     | Some s -> s
@@ -550,7 +612,7 @@ let spawn t ~parent_pid ~path ~args =
           | Some { eip_enclave = Some e; _ } -> e
           | _ -> t.enclave
         in
-        match eip_create_process_enclave t ~parent_enclave oelf with
+        match eip_create_process_enclave t ~parent_enclave a.adm.oelf with
         | e -> Some e
         | exception Occlum_sgx.Epc.Out_of_epc ->
             Domain_mgr.release slot;
@@ -559,9 +621,8 @@ let spawn t ~parent_pid ~path ~args =
   let img =
     match
       Loader.load
-        ~require_signature:(t.cfg.mode <> Linux)
         ?dynamic:(if t.cfg.sgx2 then Some t.enclave else None)
-        t.mem slot oelf ~args
+        t.mem slot a.adm ~args
     with
     | img -> img
     | exception Loader.Load_error _ ->
@@ -580,35 +641,14 @@ let spawn t ~parent_pid ~path ~args =
         raise (Spawn_error Errno.enomem)
   in
   (* translation-time guard elision: register the Elide classification
-     of this binary (memoized per digest) as absolute-pc facts before
-     any of its code runs; clear facts left by the slot's previous
-     tenant first. Compiled blocks never outlive the facts they used —
-     the loader's code writes already invalidated them. *)
+     of this binary (computed once per admission) as absolute-pc facts
+     before any of its code runs; clear facts left by the slot's
+     previous tenant first. Compiled blocks never outlive the facts they
+     used — the loader's code writes already invalidated them. *)
   (if t.cfg.jit_elide && t.cfg.jit && t.cfg.decode_cache then
      let base = Domain_mgr.c_base img.slot in
      let hi = base + img.slot.Domain_mgr.code_size in
-     let offsets =
-       let key = Digest.string binary in
-       match Hashtbl.find_opt t.jit_elide_cache key with
-       | Some offs -> offs
-       | None ->
-           let offs =
-             match Occlum_verifier.Verify.verify oelf with
-             | Ok d ->
-                 let r = Occlum_analysis.Elide.analyze oelf d in
-                 List.filter_map
-                   (fun (g : Occlum_analysis.Elide.guard) ->
-                     match g.cls with
-                     | Occlum_analysis.Elide.Required -> None
-                     | Occlum_analysis.Elide.Dominated_redundant
-                     | Occlum_analysis.Elide.Range_proven ->
-                         Some g.addr)
-                   r.Occlum_analysis.Elide.guards
-             | Error _ -> []
-           in
-           Hashtbl.add t.jit_elide_cache key offs;
-           offs
-     in
+     let offsets = Lazy.force a.elide_offsets in
      let register j =
        Jit.clear_elide_facts j ~lo:base ~hi;
        List.iter (fun off -> Jit.elide_fact j ~addr:(base + off)) offsets

@@ -62,8 +62,8 @@ type config = {
           requires [decode_cache]; per-core code caches under
           multi-core) *)
   jit_elide : bool;
-      (** run [Occlum_analysis.Elide] at spawn time (memoized per
-          distinct binary) and feed its dominated-redundant /
+      (** run [Occlum_analysis.Elide] at spawn time (once per
+          admission of a binary) and feed its dominated-redundant /
           range-proven guard classifications to the JIT, which then
           skips those MPX checks at translation time. Off by default —
           the verification pass is costly on first spawn. *)
@@ -75,6 +75,15 @@ type config = {
 }
 
 val default_config : config
+
+(** A binary that passed {!Loader.admit}: the exact bytes it was
+    admitted from, and — forced on first use under [jit_elide] — the
+    code offsets of its elidable guards. *)
+type admission = {
+  bytes : string;
+  adm : Loader.admitted;
+  elide_offsets : int list Lazy.t;
+}
 
 type t = {
   cfg : config;
@@ -88,8 +97,8 @@ type t = {
           {!Sched} core owns a private one instead *)
   jit_facts : (int, unit) Hashtbl.t;
       (** guard-elision facts (absolute pcs) shared by every JIT *)
-  jit_elide_cache : (string, int list) Hashtbl.t;
-      (** binary digest → elidable guard offsets (Elide memoization) *)
+  admissions : (string, admission) Hashtbl.t;
+      (** path → its last successful admission (Sip and Linux modes) *)
   domains : Domain_mgr.t;
   procs : (int, proc) Hashtbl.t;
   mutable runq : int list;
@@ -173,7 +182,16 @@ val spawn : t -> parent_pid:int -> path:string -> args:string list -> int
 (** The spawn system call's implementation: load a signed binary from
     the FS into a free domain slot as a new SIP (in EIP mode, also build
     and attest its enclave). Returns the pid.
-    @raise Spawn_error with an errno. *)
+
+    The file is read on every spawn. Its content checks ({!Loader.admit}:
+    parse, signature, cfi_label scan) are skipped only when the bytes
+    equal, byte for byte, those of the path's last successful admission;
+    EIP mode admits on every spawn. Oversized argv is rejected before a
+    slot is taken.
+    @raise Spawn_error with an errno: [ENOENT] and other FS errors,
+    [EINVAL] (malformed binary), [EACCES] (unsigned or too large for a
+    slot), [E2BIG] (argv overflows the argument area), [EAGAIN] (no free
+    slot), [ENOMEM] (EPC exhausted). *)
 
 val spawn_initial : t -> Occlum_oelf.Oelf.t -> args:string list -> int
 (** Install a binary as /bin/init and spawn it (pid 1). *)

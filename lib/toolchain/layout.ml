@@ -92,10 +92,16 @@ let initial_data_image t =
     t.literal_offsets;
   img
 
+let args_fit args =
+  List.fold_left (fun n a -> n + 8 + String.length a + 1) argv_off args
+  <= header_size
+
 (* Write argc/argv into a data region. [data_base] is the absolute
    address of D.begin so argv pointers are absolute; the reference
    interpreter passes 0. Raises if the arguments overflow the area. *)
 let write_args buf ~data_base args =
+  if not (args_fit args) then
+    invalid_arg "Layout.write_args: argument area overflow";
   let argc = List.length args in
   Bytes.set_int64_le buf argc_off (Int64.of_int argc);
   let ptr_end = argv_off + (8 * argc) in
@@ -103,8 +109,6 @@ let write_args buf ~data_base args =
   List.iteri
     (fun idx arg ->
       let len = String.length arg in
-      if !str_off + len + 1 > header_size then
-        invalid_arg "Layout.write_args: argument area overflow";
       Bytes.set_int64_le buf (argv_off + (8 * idx))
         (Int64.of_int (data_base + !str_off));
       Bytes.blit_string arg 0 buf !str_off len;

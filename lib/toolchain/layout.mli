@@ -31,6 +31,10 @@ val literal_offset : t -> string -> int
 val initial_data_image : t -> Bytes.t
 (** Header page (zeroed) + globals (zeroed) + interned literals. *)
 
+val args_fit : string list -> bool
+(** Whether argc/argv fit the argument area: the pointer array plus the
+    NUL-terminated strings end within {!header_size}. *)
+
 val write_args : Bytes.t -> data_base:int -> string list -> unit
 (** Write argc and absolute argv pointers + packed strings into a data
     region whose D.begin is [data_base] (0 for the interpreter).

@@ -1,6 +1,10 @@
 (* HMAC-SHA-256 (RFC 2104). The Occlum verifier signs accepted binaries
    with an HMAC; the LibOS loader recomputes it before loading. SEFS uses
-   it as the per-block integrity tag. *)
+   it as the per-block integrity tag.
+
+   Both passes stream into one SHA-256 context each: the key pad and the
+   message are fed in turn, never concatenated, so a tag costs no
+   message-sized copy. *)
 
 let block_size = 64
 
@@ -12,10 +16,15 @@ let normalize_key key =
 
 let mac ~key msg =
   let key = normalize_key key in
-  let ipad = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x36)) key in
-  let opad = Bytes.map (fun c -> Char.chr (Char.code c lxor 0x5c)) key in
-  let inner = Sha256.digest (Bytes.to_string ipad ^ msg) in
-  Sha256.digest (Bytes.to_string opad ^ inner)
+  let pass pad_byte part =
+    let ctx = Sha256.init () in
+    Sha256.feed_bytes ctx
+      (Bytes.map (fun c -> Char.chr (Char.code c lxor pad_byte)) key)
+      0 block_size;
+    Sha256.feed ctx part;
+    Sha256.finalize ctx
+  in
+  pass 0x5c (pass 0x36 msg)
 
 let verify ~key ~tag msg =
   let expected = mac ~key msg in

@@ -534,6 +534,178 @@ let test_loader_rejects_unsigned () =
   | exception Os.Spawn_error e when e = Errno.eaccess -> ()
   | _ -> Alcotest.fail "unsigned binary must not load"
 
+(* --- spawn admission ------------------------------------------------------- *)
+
+let signed ?(config = Occlum_toolchain.Codegen.sfi) prog =
+  match
+    Occlum_verifier.Verify.verify_and_sign
+      (Occlum_toolchain.Compile.compile_exn ~config prog)
+  with
+  | Ok s -> s
+  | Error rs ->
+      failwith (Occlum_verifier.Verify.rejection_to_string (List.hd rs))
+
+let printer msg =
+  rt [ func "main" [] [ Expr (Call ("print_cstr", [ Str msg ])); Return (i 0) ] ]
+
+let slots_in_use os = Occlum_libos.Domain_mgr.in_use_count os.Os.domains
+
+let spawn_and_wait os path =
+  let pid = Os.spawn os ~parent_pid:0 ~path ~args:[] in
+  ignore (Os.wait_pid_exit ~max_steps:500_000 os pid)
+
+let test_spawn_e2big () =
+  (* argv that cannot fit the 4 KiB argument area is E2BIG, rejected
+     before a domain slot is taken — from the host and from a guest *)
+  let os = Os.boot () in
+  Os.install_binary os "/bin/child" (signed (printer "child\n"));
+  let host_rejects name args =
+    let before = slots_in_use os in
+    (match Os.spawn os ~parent_pid:0 ~path:"/bin/child" ~args with
+    | exception Os.Spawn_error e -> Alcotest.(check int) name Errno.e2big e
+    | _ -> Alcotest.fail (name ^ ": spawn must fail"));
+    Alcotest.(check int) (name ^ ": slots") before (slots_in_use os)
+  in
+  host_rejects "one long arg" [ String.make 5000 'a' ];
+  host_rejects "600 args" (List.init 600 (fun _ -> "a"));
+  let guest =
+    rt ~globals:[ ("big", 6000) ]
+      [
+        func "main" []
+          [
+            Let ("b", Global_addr "big");
+            Expr (Call ("memset", [ v "b"; i 97; i 5000 ]));
+            Let ("r1", Call ("spawn_argv", [ Str "/bin/child"; i 10; v "b"; i 5000 ]));
+            If (v "r1" <>: i Errno.e2big, [ Return (i 1) ], []);
+            Let ("k", i 0);
+            While
+              ( v "k" <: i 600,
+                [
+                  Store1 (v "b" +: (v "k" *: i 2), i 97);
+                  Store1 (v "b" +: (v "k" *: i 2) +: i 1, i 0);
+                  Assign ("k", v "k" +: i 1);
+                ] );
+            Let ("r2", Call ("spawn_argv", [ Str "/bin/child"; i 10; v "b"; i 1200 ]));
+            If (v "r2" <>: i Errno.e2big, [ Return (i 2) ], []);
+            Return (Call ("getpid", []));
+          ];
+      ]
+  in
+  Os.install_binary os "/bin/app" (signed guest);
+  let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
+  Alcotest.(check int) "app holds one slot" 1 (slots_in_use os);
+  ignore (Os.wait_pid_exit ~max_steps:2_000_000 os pid);
+  (match Os.find_proc os pid with
+  | Some p -> Alcotest.(check int) "guest saw E2BIG twice" pid p.exit_code
+  | None -> Alcotest.fail "app vanished");
+  Alcotest.(check int) "no slot leaked" 0 (slots_in_use os);
+  Alcotest.(check string) "child never ran" "" (Os.console_output os)
+
+let test_spawn_rewritten_byte_rejected () =
+  (* a rewrite that keeps the length and the signature field but flips
+     one code byte must fail the signature check on the next spawn *)
+  let os = Os.boot () in
+  let good = signed (printer "x\n") in
+  Os.install_binary os "/bin/x" good;
+  spawn_and_wait os "/bin/x";
+  Alcotest.(check string) "first run" "x\n" (Os.console_output os);
+  let code = Bytes.copy good.Occlum_oelf.Oelf.code in
+  let at = Bytes.length code / 2 in
+  Bytes.set code at (Char.chr (Char.code (Bytes.get code at) lxor 0x01));
+  let tampered = { good with Occlum_oelf.Oelf.code } in
+  Alcotest.(check int) "same length"
+    (String.length (Occlum_oelf.Oelf.to_string good))
+    (String.length (Occlum_oelf.Oelf.to_string tampered));
+  Os.install_binary os "/bin/x" tampered;
+  let before = slots_in_use os in
+  (match Os.spawn os ~parent_pid:0 ~path:"/bin/x" ~args:[] with
+  | exception Os.Spawn_error e -> Alcotest.(check int) "EACCES" Errno.eaccess e
+  | _ -> Alcotest.fail "tampered binary must not load");
+  Alcotest.(check int) "slots unchanged" before (slots_in_use os)
+
+let test_spawn_rewritten_program_runs () =
+  (* a different validly signed program at the same path runs as itself *)
+  let os = Os.boot () in
+  Os.install_binary os "/bin/x" (signed (printer "old\n"));
+  spawn_and_wait os "/bin/x";
+  Os.install_binary os "/bin/x" (signed (printer "new program\n"));
+  spawn_and_wait os "/bin/x";
+  Alcotest.(check string) "both versions ran" "old\nnew program\n"
+    (Os.console_output os)
+
+let test_spawn_admissions_counted () =
+  (* one shared LibOS admits a binary once; every EIP admits its own *)
+  let admissions mode =
+    let obs = Occlum_obs.Obs.create () in
+    let os = Os.boot ~config:{ Os.default_config with mode } ~obs () in
+    Os.install_binary os "/bin/x" (signed (printer "."));
+    for _ = 1 to 3 do
+      spawn_and_wait os "/bin/x"
+    done;
+    Alcotest.(check string) "ran three times" "..." (Os.console_output os);
+    Occlum_obs.Metrics.value
+      (Occlum_obs.Metrics.counter obs.Occlum_obs.Obs.metrics
+         "os.spawn.admissions")
+  in
+  Alcotest.(check int) "Sip" 1 (admissions Os.Sip);
+  Alcotest.(check int) "Eip" 3 (admissions Os.Eip)
+
+let test_spawn_elide_facts () =
+  (* with jit_elide, the guard facts registered for a slot are exactly
+     the Elide classification of the binary it holds, whether the
+     binary was admitted afresh or reused (naive builds, so there are
+     guards to elide) *)
+  let config = { Os.default_config with jit_elide = true } in
+  let os = Os.boot ~config () in
+  let binaries =
+    List.map
+      (fun (path, prog) ->
+        (path, signed ~config:Occlum_toolchain.Codegen.sfi_naive prog))
+      Occlum_workloads.Fish.binaries
+  in
+  List.iter (fun (path, oelf) -> Os.install_binary os path oelf) binaries;
+  let fish = Os.spawn os ~parent_pid:0 ~path:"/bin/fish" ~args:[ "2"; "8" ] in
+  ignore (Os.wait_pid_exit ~max_steps:5_000_000 os fish);
+  (match Os.find_proc os fish with
+  | Some p -> Alcotest.(check int) "fish round" 0 p.exit_code
+  | None -> ());
+  let expected oelf =
+    match Occlum_verifier.Verify.verify oelf with
+    | Error _ -> Alcotest.fail "fish binary must verify"
+    | Ok d ->
+        (Occlum_analysis.Elide.analyze oelf d).Occlum_analysis.Elide.guards
+        |> List.filter_map (fun (g : Occlum_analysis.Elide.guard) ->
+               match g.cls with
+               | Occlum_analysis.Elide.Required -> None
+               | _ -> Some g.addr)
+        |> List.sort_uniq compare
+  in
+  let total = ref 0 in
+  List.iter
+    (fun (path, oelf) ->
+      for _ = 1 to 2 do
+        let pid = Os.spawn os ~parent_pid:0 ~path ~args:[ "1"; "1" ] in
+        let slot =
+          match Os.find_proc os pid with
+          | Some p -> p.img.Occlum_libos.Loader.slot
+          | None -> Alcotest.fail "spawned proc missing"
+        in
+        let base = Occlum_libos.Domain_mgr.c_base slot in
+        let hi = base + slot.Occlum_libos.Domain_mgr.code_size in
+        let got =
+          Hashtbl.fold
+            (fun addr () acc ->
+              if addr >= base && addr < hi then (addr - base) :: acc else acc)
+            os.Os.jit_facts []
+          |> List.sort compare
+        in
+        Alcotest.(check (list int)) (path ^ " facts") (expected oelf) got;
+        total := !total + List.length got;
+        ignore (Os.wait_pid_exit ~max_steps:2_000_000 os pid)
+      done)
+    binaries;
+  Alcotest.(check bool) "some guards elided" true (!total > 0)
+
 let test_eip_mode_runs () =
   let _, status, code =
     run_system ~mode:Os.Eip
@@ -1295,6 +1467,15 @@ let suite =
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "domain slot exhaustion" `Quick test_slot_exhaustion;
     Alcotest.test_case "loader rejects unsigned" `Quick test_loader_rejects_unsigned;
+    Alcotest.test_case "spawn E2BIG holds no slot" `Quick test_spawn_e2big;
+    Alcotest.test_case "rewritten code byte rejected" `Quick
+      test_spawn_rewritten_byte_rejected;
+    Alcotest.test_case "rewritten program runs" `Quick
+      test_spawn_rewritten_program_runs;
+    Alcotest.test_case "admissions: Sip once, Eip per spawn" `Quick
+      test_spawn_admissions_counted;
+    Alcotest.test_case "jit_elide facts per admission" `Quick
+      test_spawn_elide_facts;
     Alcotest.test_case "EIP (Graphene) mode" `Quick test_eip_mode_runs;
     Alcotest.test_case "Linux mode" `Quick test_linux_mode_runs;
     Alcotest.test_case "SGX2 (EDMM) mode" `Quick test_sgx2_mode;

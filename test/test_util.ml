@@ -57,6 +57,22 @@ let test_hmac () =
   Alcotest.(check bool) "long key" true
     (Hmac.verify ~key:(String.make 200 'K') ~tag:tag2 "m")
 
+(* RFC 4231 HMAC-SHA-256 test cases 1, 2 and 6 (case 6: a key longer
+   than the block size, hashed first) *)
+let test_hmac_rfc4231 () =
+  let case name ~key msg want =
+    check name want (Sha256.to_hex (Hmac.mac ~key msg));
+    Alcotest.(check bool) (name ^ " verifies") true
+      (Hmac.verify ~key ~tag:(Hmac.mac ~key msg) msg)
+  in
+  case "case 1" ~key:(String.make 20 '\x0b') "Hi There"
+    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7";
+  case "case 2" ~key:"Jefe" "what do ya want for nothing?"
+    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843";
+  case "case 6" ~key:(String.make 131 '\xaa')
+    "Test Using Larger Than Block-Size Key - Hash Key First"
+    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+
 let test_chacha_vector () =
   (* RFC 8439 §2.4.2, adjusted for our counter starting at 0 *)
   let key = String.init 32 Char.chr in
@@ -136,6 +152,7 @@ let suite =
     Alcotest.test_case "sha256 vectors" `Quick test_sha256_vectors;
     Alcotest.test_case "sha256 streaming" `Quick test_sha256_streaming_equals_oneshot;
     Alcotest.test_case "hmac" `Quick test_hmac;
+    Alcotest.test_case "hmac rfc 4231" `Quick test_hmac_rfc4231;
     Alcotest.test_case "chacha vector" `Quick test_chacha_vector;
     Alcotest.test_case "cipher roundtrip" `Quick test_cipher_roundtrip;
     Alcotest.test_case "cipher arg checks" `Quick test_cipher_sizes;
