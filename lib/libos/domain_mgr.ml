@@ -20,7 +20,6 @@ type slot = {
   code_size : int;
   data_size : int;
   mutable in_use : bool;
-  mutable scrub_needed : bool; (* a previous SIP ran here *)
   mutable mapped : (int * int) list; (* SGX2: dynamically committed ranges *)
 }
 
@@ -65,7 +64,7 @@ let build cfg (enclave : Occlum_sgx.Enclave.t) =
         end;
         { id = i + 1; base; code_size = cfg.domain_code_size;
           data_size = cfg.domain_data_size; in_use = false;
-          scrub_needed = false; mapped = [] })
+          mapped = [] })
   in
   { cfg; slots }
 
@@ -76,9 +75,10 @@ let acquire t =
       s.in_use <- true;
       Some s
 
-let release s =
-  s.in_use <- false;
-  s.scrub_needed <- true
+(* No scrub flag: the loader zeroes a reused slot's dirty pages
+   ([Mem.zero_dirty_priv]), so a slot nobody wrote has nothing to
+   scrub. *)
+let release s = s.in_use <- false
 
 let in_use_count t =
   Array.fold_left (fun acc s -> if s.in_use then acc + 1 else acc) 0 t.slots

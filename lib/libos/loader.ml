@@ -12,8 +12,16 @@
    for cfi_label offsets — so a LibOS may do it once per distinct binary
    and reuse the result. [load] is everything that depends on the slot
    and the arguments, and runs on every spawn: the size-vs-slot checks,
-   the SGX1 scrub (or SGX2 EAUG), the code copy with its labels patched
-   at the admitted offsets, the trampoline, the data image and argv. *)
+   the SGX2 EAUG, the code placement, the SGX1 scrub, the data image and
+   argv.
+
+   Placement pays only for what differs from what the slot already
+   holds. The code image (labels patched at the admitted offsets,
+   trampoline written) is placed by compare: only pages whose bytes
+   change are written, so only they move their generation, and the
+   decoded blocks and compiled units of every other page stay valid.
+   The scrub zeroes only dirty pages ([Mem.zero_dirty_priv]): a clean page
+   already holds zeros, so a slot with no dirty page costs nothing. *)
 
 open Occlum_machine
 open Occlum_isa
@@ -113,19 +121,21 @@ let load ?dynamic mem (slot : Domain_mgr.slot) (adm : admitted) ~args =
         slot.mapped <- [ (c_base, code_len); (d_base, data_len) ];
         data_len
   in
-  (* scrub: a previous SIP may have run in this slot (SGX1 only — EAUG
-     pages arrive zeroed) *)
-  if dynamic = None && slot.scrub_needed then begin
-    Mem.fill_priv mem ~addr:c_base ~len:slot.code_size '\x00';
-    Mem.fill_priv mem ~addr:d_base ~len:slot.data_size '\x00';
-    slot.scrub_needed <- false
-  end;
-  (* code image, with domain ids patched into the labels *)
-  let code = Bytes.copy oelf.code in
+  (* The code image as the slot must hold it — labels patched, the
+     trampoline head zeroed and its gates written — padded to a page, is
+     placed compare-and-write: a page that already holds these bytes
+     keeps its generation, so a re-spawn into the slot its last run left
+     keeps every decoded block and compiled unit of unchanged pages. *)
+  let code_len = Bytes.length oelf.code in
+  let image_len =
+    Occlum_util.Bytes_util.round_up
+      (max code_len Occlum_oelf.Oelf.trampoline_reserved)
+      Mem.page_size
+  in
+  let code = Bytes.make image_len '\x00' in
+  Bytes.blit oelf.code 0 code 0 code_len;
   patch_at code adm.label_offsets domain_id;
-  Mem.write_bytes_priv mem ~addr:c_base code;
-  (* the trampoline overwrites the loader-reserved head *)
-  Mem.fill_priv mem ~addr:c_base ~len:Occlum_oelf.Oelf.trampoline_reserved '\x00';
+  Bytes.fill code 0 Occlum_oelf.Oelf.trampoline_reserved '\x00';
   let main_gate_seq =
     encode_seq
       [
@@ -138,9 +148,19 @@ let load ?dynamic mem (slot : Domain_mgr.slot) (adm : admitted) ~args =
   let sigreturn_seq =
     encode_seq [ Insn.Cfi_label (Int32.of_int domain_id); Insn.Syscall_gate ]
   in
-  Mem.write_bytes_priv mem ~addr:(c_base + main_gate_off) main_gate_seq;
-  Mem.write_bytes_priv mem ~addr:(c_base + sigreturn_gate_off) sigreturn_seq;
-  Mem.write_bytes_priv mem ~addr:(c_base + thread_exit_gate_off) sigreturn_seq;
+  let put off seq = Bytes.blit seq 0 code off (Bytes.length seq) in
+  put main_gate_off main_gate_seq;
+  put sigreturn_gate_off sigreturn_seq;
+  put thread_exit_gate_off sigreturn_seq;
+  Mem.place_priv mem ~addr:c_base code;
+  (* scrub what a previous SIP may have left (SGX1 only — EAUG pages
+     arrive zeroed): the code tail past this image and the whole D
+     region, each page only if dirty, since a clean page is all zeros *)
+  if dynamic = None then begin
+    Mem.zero_dirty_priv mem ~addr:(c_base + image_len)
+      ~len:(slot.code_size - image_len);
+    Mem.zero_dirty_priv mem ~addr:d_base ~len:slot.data_size
+  end;
   (* data image + argv *)
   Mem.write_bytes_priv mem ~addr:d_base oelf.data;
   let arg_page =

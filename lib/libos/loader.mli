@@ -8,8 +8,8 @@
     binary's bytes (parse, signature, cfi_label scan), and {!load}, which
     places an admitted binary in a slot. A LibOS may admit a binary once
     and load it many times; everything slot- or argument-dependent —
-    the size-vs-slot checks, the SGX1 scrub or SGX2 EAUG, the label
-    patch, the trampoline, data and argv — stays per load. *)
+    the size-vs-slot checks, the SGX2 EAUG, the code placement, the SGX1
+    scrub of dirty pages, data and argv — stays per load. *)
 
 exception Load_error of string
 
@@ -60,11 +60,14 @@ val load :
   admitted ->
   args:string list ->
   image
-(** Scrub the slot if needed (SGX1), or EAUG exactly the pages the
-    binary needs ([dynamic] = the SGX2 enclave), place code (labels
-    patched to the slot's domain id, plus trampoline) and data (with
-    argv), and describe the initial machine state. [args] must fit the
-    argument area ({!Occlum_toolchain.Layout.args_fit}).
+(** EAUG exactly the pages the binary needs ([dynamic] = the SGX2
+    enclave), place the code image (labels patched to the slot's domain
+    id, plus trampoline) page by page, writing only pages whose bytes
+    differ so unchanged pages keep their generation, zero the dirty
+    pages of the code tail and the D region (SGX1), write data (with
+    argv), and describe the initial machine state. The slot's bytes end
+    up exactly as if it had been zero-filled and then written. [args]
+    must fit the argument area ({!Occlum_toolchain.Layout.args_fit}).
     @raise Load_error on a binary too large for the slot. *)
 
 val init_cpu : image -> Occlum_machine.Cpu.t -> unit

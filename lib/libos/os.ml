@@ -104,7 +104,7 @@ type t = {
   (* one decoded-block cache for the whole enclave: blocks are keyed by
      absolute pc in the shared address space, and the loader's privileged
      code writes bump the page generations that invalidate them when a
-     domain slot is reused *)
+     domain slot is reused with different bytes *)
   dcache : Decode_cache.t option;
   (* sequential-scheduler block JIT (cores = 1); under multi-core each
      Sched core owns a private one. All share [jit_facts]. *)
@@ -578,8 +578,11 @@ let admit t path binary =
 (* Spawn a new SIP from a signed binary stored on the encrypted FS. The
    file is read on every spawn; its content checks run only when the
    bytes differ from the path's last admission ([admit]). Everything
-   that depends on the slot or the arguments — the size checks, the
-   slot scrub, placing code and data — runs every time ([Loader.load]).
+   that depends on the slot or the arguments — the size checks, placing
+   code and data, the scrub of dirty pages — runs every time
+   ([Loader.load]), but placement writes only what differs from what the
+   slot holds, so re-spawning a binary into the slot its last run left
+   keeps that run's translations.
    Every content and argument check comes before a slot is taken, so a
    rejected spawn holds nothing. *)
 let spawn t ~parent_pid ~path ~args =
@@ -640,18 +643,24 @@ let spawn t ~parent_pid ~path ~args =
         | None -> ());
         raise (Spawn_error Errno.enomem)
   in
-  (* translation-time guard elision: register the Elide classification
-     of this binary (computed once per admission) as absolute-pc facts
-     before any of its code runs; clear facts left by the slot's
-     previous tenant first. Compiled blocks never outlive the facts they
-     used — the loader's code writes already invalidated them. *)
+  (* an EIP is a fresh enclave: it inherits no translation of its code,
+     so the shared caches must not revive the slot's previous tenant's *)
+  if t.cfg.mode = Eip then
+    Mem.bump_gen t.mem ~addr:(Domain_mgr.c_base img.slot)
+      ~len:img.slot.Domain_mgr.code_size;
+  (* translation-time guard elision: make the slot's facts the Elide
+     classification of this binary (computed once per admission), as
+     absolute pcs, before any of its code runs. The placement kept the
+     generations of byte-identical pages, so [set_elide_facts] moves
+     them wherever the facts differ from the previous tenant's: a unit
+     compiled with another binary's facts never runs for this one. *)
   (if t.cfg.jit_elide && t.cfg.jit && t.cfg.decode_cache then
      let base = Domain_mgr.c_base img.slot in
      let hi = base + img.slot.Domain_mgr.code_size in
      let offsets = Lazy.force a.elide_offsets in
      let register j =
-       Jit.clear_elide_facts j ~lo:base ~hi;
-       List.iter (fun off -> Jit.elide_fact j ~addr:(base + off)) offsets
+       Jit.set_elide_facts j t.mem ~lo:base ~hi
+         (List.map (fun off -> base + off) offsets)
      in
      match t.sched with
      | Some s -> (

@@ -97,13 +97,30 @@ let clear t = Hashtbl.reset t.tbl
 
 let elide_fact t ~addr = Hashtbl.replace t.elidable addr ()
 
-let clear_elide_facts t ~lo ~hi =
-  let doomed =
+(* A compiled unit bakes in the facts of the binary it was compiled
+   for, but it is keyed on pc and page generations only — and a
+   byte-identical page keeps its generation when another binary is
+   placed over it. So every page where a fact appears or disappears
+   moves its generation: no unit outlives the facts it was compiled
+   with, in this JIT or any other sharing the table. *)
+let set_elide_facts t mem ~lo ~hi addrs =
+  let fresh = Hashtbl.create 64 in
+  List.iter (fun a -> if a >= lo && a < hi then Hashtbl.replace fresh a ()) addrs;
+  let gone =
     Hashtbl.fold
-      (fun a () acc -> if a >= lo && a < hi then a :: acc else acc)
+      (fun a () acc ->
+        if a >= lo && a < hi && not (Hashtbl.mem fresh a) then a :: acc
+        else acc)
       t.elidable []
   in
-  List.iter (fun a -> Hashtbl.remove t.elidable a) doomed
+  let added =
+    Hashtbl.fold
+      (fun a () acc -> if Hashtbl.mem t.elidable a then acc else a :: acc)
+      fresh []
+  in
+  List.iter (fun a -> Hashtbl.remove t.elidable a) gone;
+  List.iter (fun a -> Hashtbl.replace t.elidable a ()) added;
+  List.iter (fun a -> Mem.bump_gen mem ~addr:a ~len:1) (gone @ added)
 
 (* ---- translation helpers (must mirror Interp exactly) ---- *)
 

@@ -63,15 +63,18 @@ val create : ?threshold:int -> ?max_blocks:int -> ?elide:(int, unit) Hashtbl.t -
     translation-time guard elision is exactly equivalent to the
     statically elided binary). [max_blocks] (default 4096) flushes the
     code cache wholesale when full. [elide] shares a guard-elision fact table
-    (absolute pcs) with other JITs — mutate it only while no compiled
-    code for those addresses exists (the LibOS registers facts at load
-    time, before the code runs). *)
+    (absolute pcs) with other JITs — change facts for addresses that
+    may have compiled code only through {!set_elide_facts}, which
+    invalidates that code. *)
 
 val elide_fact : t -> addr:int -> unit
 (** Mark the guard at absolute [addr] safe to skip at translation time. *)
 
-val clear_elide_facts : t -> lo:int -> hi:int -> unit
-(** Drop facts with [lo <= addr < hi] (e.g. on domain-slot reuse). *)
+val set_elide_facts : t -> Mem.t -> lo:int -> hi:int -> int list -> unit
+(** Make the facts with [lo <= addr < hi] exactly those of the list
+    (e.g. when a binary is placed in a domain slot), and move the
+    generation of every page where a fact was added or dropped, so no
+    compiled unit outlives the facts it was compiled with. *)
 
 val compile : t -> Decode_cache.block -> compiled
 (** Translate a block (total: every opcode compiles, privileged ones to

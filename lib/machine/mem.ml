@@ -20,6 +20,7 @@ type t = {
   data : Bytes.t;
   pages : perm option array; (* None = unmapped *)
   gens : int array; (* per-page code generation, see [page_gen] *)
+  dirty : Bytes.t; (* '\001' = may hold a non-zero byte, see [zero_dirty_priv] *)
   size : int;
   (* EPC demand paging. When [paged] is false (the default) none of the
      fields below are consulted and every mapped page is its own frame,
@@ -41,6 +42,7 @@ let create ~size =
     data = Bytes.make size '\x00';
     pages = Array.make (size / page_size) None;
     gens = Array.make (size / page_size) 0;
+    dirty = Bytes.make (size / page_size) '\x00';
     size;
     paged = false;
     resident = Bytes.make (size / page_size) '\x01';
@@ -68,29 +70,36 @@ let page_count t = Array.length t.pages
 (* Generation counter of a page, bumped whenever the bytes or mapping of
    an executable page may have changed: on [map]/[unmap] and on any write
    that lands in a page with the x permission (privileged writers
-   included — the loader writes code through them). Decoded-instruction
-   caches snapshot these counters and treat a mismatch as invalidation,
-   so they never serve stale code. *)
+   included — the loader writes code through them, but only the pages
+   whose bytes differ, see [place_priv]). [bump_gen] moves it without a
+   write, for cached translations that depend on more than the bytes.
+   Decoded-instruction caches snapshot these counters and treat a
+   mismatch as invalidation, so they never serve stale code. *)
 let page_gen t page = t.gens.(page)
-
-let bump_gen t ~addr ~len =
-  for p = addr / page_size to (addr + len - 1) / page_size do
-    t.gens.(p) <- t.gens.(p) + 1
-  done
-
-(* Bump generations only where the span touches executable pages; writes
-   to plain data pages can stay generation-silent. *)
-let touch_code t ~addr ~len =
-  if len > 0 then
-    for p = addr / page_size to (addr + len - 1) / page_size do
-      match t.pages.(p) with
-      | Some { x = true; _ } -> t.gens.(p) <- t.gens.(p) + 1
-      | _ -> ()
-    done
 
 let check_range t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then
     invalid_arg (Printf.sprintf "Mem: range [0x%x, +%d) outside address space" addr len)
+
+let bump_gen t ~addr ~len =
+  check_range t addr len;
+  if len > 0 then
+    for p = addr / page_size to (addr + len - 1) / page_size do
+      t.gens.(p) <- t.gens.(p) + 1
+    done
+
+(* Every write path — checked or privileged — calls this before its
+   bytes move. It marks each page of the span dirty, and bumps the
+   generation only where the span touches executable pages: writes to
+   plain data pages stay generation-silent. *)
+let note_write t ~addr ~len =
+  if len > 0 then
+    for p = addr / page_size to (addr + len - 1) / page_size do
+      Bytes.unsafe_set t.dirty p '\x01';
+      match t.pages.(p) with
+      | Some { x = true; _ } -> t.gens.(p) <- t.gens.(p) + 1
+      | _ -> ()
+    done
 
 let map t ~addr ~len ~perm =
   check_range t addr len;
@@ -106,7 +115,7 @@ let map t ~addr ~len ~perm =
     end;
     t.pages.(p) <- Some perm
   done;
-  if len > 0 then bump_gen t ~addr ~len
+  bump_gen t ~addr ~len
 
 let unmap t ~addr ~len =
   check_range t addr len;
@@ -115,7 +124,7 @@ let unmap t ~addr ~len =
   for p = addr / page_size to ((addr + len) / page_size) - 1 do
     t.pages.(p) <- None
   done;
-  if len > 0 then bump_gen t ~addr ~len
+  bump_gen t ~addr ~len
 
 let perm_at t addr =
   if addr < 0 || addr >= t.size then None else t.pages.(addr / page_size)
@@ -177,7 +186,7 @@ let ensure_resident t ~addr ~len =
    whenever the call is not inlined, as under [-opaque]. *)
 let check_write t addr len =
   check_access t addr len Write;
-  touch_code t ~addr ~len
+  note_write t ~addr ~len
 
 let read_u8 t addr =
   check_access t addr 1 Read;
@@ -220,7 +229,7 @@ let blit_to_bytes_priv t ~addr dst ~off ~len =
 
 let blit_from_bytes_priv t src ~off ~addr ~len =
   check_range t addr len;
-  touch_code t ~addr ~len;
+  note_write t ~addr ~len;
   if not t.paged then Bytes.blit src off t.data addr len
   else
     by_page t ~addr ~len (fun a pos chunk ->
@@ -243,13 +252,64 @@ let read_u64_priv t addr =
 let write_u64_priv t addr v =
   check_range t addr 8;
   ensure_resident t ~addr ~len:8;
-  touch_code t ~addr ~len:8;
+  note_write t ~addr ~len:8;
   Bytes.set_int64_le t.data addr v
 
 let fill_priv t ~addr ~len c =
   check_range t addr len;
-  touch_code t ~addr ~len;
+  note_write t ~addr ~len;
   if not t.paged then Bytes.fill t.data addr len c
   else by_page t ~addr ~len (fun a _ chunk -> Bytes.fill t.data a chunk c)
+
+(* [len] bytes of guest memory at [addr] equal [src] at [off]. Compared
+   eight bytes at a time: an [int64] consumed by [=] at a known type is
+   never boxed. *)
+let same_bytes t src ~off ~addr ~len =
+  let rec go i =
+    if i + 8 <= len then
+      Bytes.get_int64_ne t.data (addr + i) = Bytes.get_int64_ne src (off + i)
+      && go (i + 8)
+    else if i < len then
+      Bytes.get t.data (addr + i) = Bytes.get src (off + i) && go (i + 1)
+    else true
+  in
+  go 0
+
+(* Compare-and-write, page at a time: a page whose bytes already equal
+   the source is left alone, so its generation (and every translation
+   cached from it) survives, and a clean page stays clean when the
+   source is zeros there. *)
+let place_priv t ~addr src =
+  let len = Bytes.length src in
+  check_range t addr len;
+  by_page t ~addr ~len (fun a pos chunk ->
+      if not (same_bytes t src ~off:pos ~addr:a ~len:chunk) then begin
+        note_write t ~addr:a ~len:chunk;
+        Bytes.blit src pos t.data a chunk
+      end)
+
+(* The dirty set: a clean page holds only zeros. [create] makes every
+   page clean, and only [note_write] (dirty) and [zero_page_priv] (clean,
+   after zeroing) change a page's bit, so the scrub may skip every clean
+   page. *)
+let page_dirty t page = Bytes.get t.dirty page = '\x01'
+
+let zero_page_priv t page =
+  let a = page * page_size in
+  check_range t a page_size;
+  note_write t ~addr:a ~len:page_size;
+  Bytes.fill t.data a page_size '\x00';
+  Bytes.set t.dirty page '\x00'
+
+let zero_dirty_priv t ~addr ~len =
+  check_range t addr len;
+  if addr mod page_size <> 0 || len mod page_size <> 0 then
+    invalid_arg "Mem.zero_dirty_priv: unaligned";
+  for p = addr / page_size to ((addr + len) / page_size) - 1 do
+    if page_dirty t p then begin
+      ensure_resident t ~addr:(p * page_size) ~len:page_size;
+      zero_page_priv t p
+    end
+  done
 
 let raw t = t.data

@@ -33,9 +33,17 @@ val perm_at : t -> int -> perm option
 
 val page_gen : t -> int -> int
 (** [page_gen t page] is the page's generation counter. It is bumped by
-    {!map}, {!unmap} and every write — user or privileged — that touches
-    an executable page, so cached decodings of a page are stale exactly
-    when its generation has moved. *)
+    {!map}, {!unmap}, {!bump_gen} and every write — user or privileged —
+    that touches an executable page, so cached decodings of a page are
+    stale exactly when its generation has moved. A privileged write that
+    leaves the bytes as they were need not move it: {!place_priv} writes
+    only the pages that differ, so translations of a page survive a
+    re-placement of the same bytes at the same address. *)
+
+val bump_gen : t -> addr:int -> len:int -> unit
+(** Move the generation of every page in the span without changing a
+    byte: drops cached translations whose meaning depends on more than
+    the bytes (e.g. translation-time guard-elision facts). *)
 
 val check_access : t -> int -> int -> Fault.access -> unit
 (** Fault-checking span test used by the interpreter: the whole byte span
@@ -82,8 +90,9 @@ val probe_resident : t -> addr:int -> len:int -> unit
 
 val check_write : t -> int -> int -> unit
 (** [check_write t addr len] is {!check_access} for [Write] plus the
-    page-generation bump a write into an executable page makes. Call it
-    immediately before writing the span through {!raw}. *)
+    bookkeeping every write makes: the span's pages become dirty, and
+    executable ones move their generation. Call it immediately before
+    writing the span through {!raw}. *)
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
@@ -115,6 +124,34 @@ val write_bytes_priv : t -> addr:int -> Bytes.t -> unit
 val read_u64_priv : t -> int -> int64
 val write_u64_priv : t -> int -> int64 -> unit
 val fill_priv : t -> addr:int -> len:int -> char -> unit
+
+(** {2 Dirty pages and re-placement}
+
+    Every write path — {!check_write} and the privileged writers alike —
+    marks the pages it touches dirty. The invariant is that a clean page
+    holds only zeros: {!create} starts with every page clean, mapping
+    changes no bit, and only {!zero_page_priv} makes a page clean
+    again. A dirty page may also hold zeros (e.g. an EWB-scrubbed frame,
+    whose bytes live on in the backing store); the set errs only that
+    way. Slot reuse scrubs exactly the dirty pages. *)
+
+val place_priv : t -> addr:int -> Bytes.t -> unit
+(** [place_priv t ~addr src] makes guest memory at [addr] equal [src],
+    page at a time: each page is made resident, compared, and written
+    (dirtying it and bumping its generation if executable) only if its
+    bytes differ. *)
+
+val page_dirty : t -> int -> bool
+
+val zero_page_priv : t -> int -> unit
+(** [zero_page_priv t page] zeroes a resident page and marks it clean —
+    the scrub below, and the pager's zero-fill commit of a page that
+    was never written out. Moves the generation if executable. *)
+
+val zero_dirty_priv : t -> addr:int -> len:int -> unit
+(** Zero every dirty page of a page-aligned span (each made resident
+    first) and mark it clean; clean pages are skipped. Executable pages
+    zeroed here move their generation. *)
 
 val raw : t -> Bytes.t
 (** The backing store (used by the decoder for zero-copy fetch). *)

@@ -161,8 +161,10 @@ let do_evict t pg c page =
   in
   Hashtbl.replace pg.backing (c.cid, page) { cipher; mac; version };
   (* Scrub through the privileged writer so executable pages bump their
-     generation and cached decodings of the frame are invalidated. *)
-  Mem.fill_priv c.mem ~addr ~len:page_size '\x00';
+     generation and cached decodings of the frame are invalidated. A
+     clean page sealed only zeros, so it stays clean. *)
+  if Mem.page_dirty c.mem page then Mem.fill_priv c.mem ~addr ~len:page_size '\x00'
+  else Mem.zero_page_priv c.mem page;
   Mem.set_resident c.mem page false;
   Mem.set_accessed c.mem page false;
   c.resident <- c.resident - 1;
@@ -281,8 +283,10 @@ let eldu t ~cid ~page =
               Hashtbl.remove pg.backing (cid, page);
               true
           | None ->
+              (* a page never written out holds zeros: committing it
+                 leaves it clean, so a later slot scrub skips it *)
               Mem.set_resident c.mem page true;
-              Mem.fill_priv c.mem ~addr ~len:page_size '\x00';
+              Mem.zero_page_priv c.mem page;
               false
         in
         Mem.set_accessed c.mem page true;

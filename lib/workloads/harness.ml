@@ -358,13 +358,27 @@ let sized_program ~code_kb =
     (Occlum_toolchain.Ast.func "main" [] [ Occlum_toolchain.Ast.Return (Occlum_toolchain.Ast.i 0) ]
      :: List.init n filler)
 
+(* Run until [pid] has exited. A spawn measurement over a child that
+   never exits would time only part of its run, so any other outcome
+   raises. *)
+let wait_exit ?(max_steps = 200_000) os pid =
+  match Os.wait_pid_exit ~max_steps os pid with
+  | Os.All_exited -> ()
+  | Os.Deadlock pids ->
+      failwith
+        (Printf.sprintf "pid %d did not exit: deadlock among pids [%s]" pid
+           (String.concat "; " (List.map string_of_int pids)))
+  | Os.Quota_exhausted ->
+      failwith
+        (Printf.sprintf "pid %d did not exit within %d steps" pid max_steps)
+
 (* Median wall seconds to spawn + run-to-exit one instance of [path]. *)
-let spawn_latency ?(tries = 5) os path =
+let spawn_latency ?(tries = 5) ?max_steps os path =
   let samples =
     List.init tries (fun _ ->
         let t0 = Unix.gettimeofday () in
         let pid = Os.spawn os ~parent_pid:0 ~path ~args:[] in
-        ignore (Os.wait_pid_exit ~max_steps:200_000 os pid);
+        wait_exit ?max_steps os pid;
         Unix.gettimeofday () -. t0)
   in
   let sorted = List.sort compare samples in

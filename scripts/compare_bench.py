@@ -9,7 +9,8 @@ Direction is inferred from the metric name: `...-ns-per-op` is
 lower-is-better; `...-insns-per-sec` and `...-speedup` (including the
 cached-vs-uncached interpreter ratio) are higher-is-better. Metrics
 present on only one side are reported but never fail the gate, so the
-baseline does not have to be regenerated when benchmarks are added.
+baseline does not have to be regenerated when benchmarks are added. A
+lower-is-better metric pinned at 0 fails on any positive value.
 The nested "metrics" section (virtual-clock observability counters) is
 compared informationally only.
 
@@ -114,7 +115,9 @@ def main():
         base, cur = base_scalars[name], cur_scalars[name]
         d = direction(name)
         if base == 0:
-            regression = 0.0
+            # a zero pin on a lower-is-better metric (e.g. decode-cache
+            # builds per respawn) is exact: anything above it regresses
+            regression = float("inf") if d == "lower" and cur > 0 else 0.0
         elif d == "lower":
             regression = (cur - base) / base
         else:

@@ -1311,7 +1311,10 @@ let test_epc_paging_differential () =
   let base_os, base_status, base_code = run () in
   Alcotest.(check bool) "uncapped run finished" true
     (base_status = Os.All_exited);
-  let pool = Occlum_sgx.Epc.create ~size:(24 * 4096) () in
+  (* 8 frames: small enough that the three SIPs' own working sets are
+     evicted and reloaded (a reused slot's scrub touches only its dirty
+     pages, so it no longer pages the whole slot through the pool) *)
+  let pool = Occlum_sgx.Epc.create ~size:(8 * 4096) () in
   Occlum_sgx.Epc.enable_paging pool;
   let paged_os, paged_status, paged_code = run ~epc:pool () in
   Alcotest.(check bool) "paged run finished" true
