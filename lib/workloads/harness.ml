@@ -361,7 +361,8 @@ let sized_program ~code_kb =
 (* Run until [pid] has exited. A spawn measurement over a child that
    never exits would time only part of its run, so any other outcome
    raises. *)
-let wait_exit ?(max_steps = 200_000) os pid =
+let wait_exit os pid =
+  let max_steps = 200_000 in
   match Os.wait_pid_exit ~max_steps os pid with
   | Os.All_exited -> ()
   | Os.Deadlock pids ->
@@ -373,12 +374,12 @@ let wait_exit ?(max_steps = 200_000) os pid =
         (Printf.sprintf "pid %d did not exit within %d steps" pid max_steps)
 
 (* Median wall seconds to spawn + run-to-exit one instance of [path]. *)
-let spawn_latency ?(tries = 5) ?max_steps os path =
+let spawn_latency ?(tries = 5) os path =
   let samples =
     List.init tries (fun _ ->
         let t0 = Unix.gettimeofday () in
         let pid = Os.spawn os ~parent_pid:0 ~path ~args:[] in
-        wait_exit ?max_steps os pid;
+        wait_exit os pid;
         Unix.gettimeofday () -. t0)
   in
   let sorted = List.sort compare samples in

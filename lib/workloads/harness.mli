@@ -96,13 +96,13 @@ val run_serving :
 val sized_program : code_kb:int -> Occlum_toolchain.Ast.program
 (** A program padded to roughly [code_kb] KiB of code (Fig 6a). *)
 
-val wait_exit : ?max_steps:int -> Os.t -> int -> unit
-(** Run until the process has exited ([Os.wait_pid_exit], default
-    200,000 steps).
+val wait_exit : Os.t -> int -> unit
+(** Run until the process has exited ([Os.wait_pid_exit] with a
+    200,000-step budget).
     @raise Failure on a deadlock or an exhausted step budget, so a
     measurement never reports a partial number. *)
 
-val spawn_latency : ?tries:int -> ?max_steps:int -> Os.t -> string -> float
+val spawn_latency : ?tries:int -> Os.t -> string -> float
 (** Median wall seconds to spawn + run-to-exit one instance.
     @raise Failure as {!wait_exit} if an instance does not exit. *)
 

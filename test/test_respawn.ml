@@ -48,7 +48,7 @@ let looper ?tweak n =
 
 let run_child os path =
   let pid = Os.spawn os ~parent_pid:0 ~path ~args:[] in
-  H.wait_exit ~max_steps:500_000 os pid;
+  H.wait_exit os pid;
   match Os.find_proc os pid with
   | Some p -> p
   | None -> Alcotest.fail "child was reaped"
@@ -350,10 +350,10 @@ let test_spawn_measurement_needs_exit () =
     | exception Failure _ -> ()
   in
   raises "spawn_latency" (fun () ->
-      H.spawn_latency ~tries:1 ~max_steps:2_000 os "/bin/spin");
+      H.spawn_latency ~tries:1 os "/bin/spin");
   raises "wait_exit" (fun () ->
       let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/spin" ~args:[] in
-      H.wait_exit ~max_steps:2_000 os pid)
+      H.wait_exit os pid)
 
 let suite =
   [
