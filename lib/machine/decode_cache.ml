@@ -14,7 +14,9 @@
    and by every write — privileged or not — landing in an executable
    page. A block snapshots the generations of the pages it spans when
    built; a lookup whose snapshot no longer matches is an invalidation
-   and the block is dropped. SIP code pages are RWX, not W^X: SGX1 fixes
+   and the block is dropped. [Mem]'s code epoch moves with every
+   generation, so a block re-walks its pages only after some generation
+   moved since it last validated. SIP code pages are RWX, not W^X: SGX1 fixes
    page permissions at EADD, so the LibOS maps every domain's code
    region writable, and only the verifier's guards keep SIP stores out
    of it. A user store into code is thus legal at the page level, and
@@ -33,6 +35,7 @@ type block = {
   fragile : bool;    (* some spanned page is both writable and executable *)
   writes : bool array; (* instruction i may write memory *)
   mutable hot : int; (* replay count since build — the JIT's promotion cue *)
+  mutable stamp : int; (* [Mem.epoch] at which [gens] last matched *)
 }
 
 type t = {
@@ -74,11 +77,19 @@ let writes_memory (i : Insn.t) =
   | Store _ | Push _ | Call _ | Call_reg _ | Call_mem _ | Vscatter _ -> true
   | _ -> false
 
-let block_valid mem (b : block) =
+(* O(1) while no generation has moved anywhere in [mem] since the block
+   last validated: epochs are unique process-wide, so an equal stamp
+   means the same memory with every generation as it was. Otherwise
+   walk the pages, and re-stamp with the epoch read before the walk. *)
+let block_valid (mem : Mem.t) (b : block) =
+  b.stamp = mem.epoch
+  ||
+  let epoch = mem.epoch in
   let ok = ref true in
   for k = 0 to Array.length b.pages - 1 do
     if Mem.page_gen mem b.pages.(k) <> b.gens.(k) then ok := false
   done;
+  if !ok then b.stamp <- epoch;
   !ok
 
 (* Build (and intern) a block starting at [pc]. Returns [None] when even
@@ -115,6 +126,7 @@ let build t mem pc =
       let pages =
         Array.init (last_page - first_page + 1) (fun k -> first_page + k)
       in
+      let stamp = mem.Mem.epoch in
       let gens = Array.map (fun p -> Mem.page_gen mem p) pages in
       let fragile =
         Array.exists
@@ -126,7 +138,7 @@ let build t mem pc =
       in
       if Hashtbl.length t.tbl >= t.max_blocks then clear t;
       let writes = Array.map (fun (i, _) -> writes_memory i) insns in
-      let b = { entry = pc; insns; pages; gens; fragile; writes; hot = 0 } in
+      let b = { entry = pc; insns; pages; gens; fragile; writes; hot = 0; stamp } in
       Hashtbl.replace t.tbl pc b;
       Some b
 

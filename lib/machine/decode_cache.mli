@@ -24,6 +24,8 @@ type block = {
           such instruction, and only there. *)
   mutable hot : int;
       (** replay count since build — the JIT's promotion cue *)
+  mutable stamp : int;
+      (** the {!Mem.t.epoch} at which [gens] last matched memory *)
 }
 
 type t
@@ -33,7 +35,9 @@ val create : ?max_block_insns:int -> ?max_blocks:int -> unit -> t
     (the table is flushed wholesale when full). *)
 
 val block_valid : Mem.t -> block -> bool
-(** The block's generation snapshot still matches memory. *)
+(** The block's generation snapshot still matches memory. O(1) when
+    [stamp] equals the memory's epoch; otherwise a walk over [pages]
+    that re-stamps the block on success. *)
 
 val build : t -> Mem.t -> int -> block option
 (** Decode, intern and return the block starting at pc. [None] when even

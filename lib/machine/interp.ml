@@ -56,22 +56,46 @@ let[@inline] effective_address mem cpu (m : Insn.mem) ~end_pc =
 
 let unsigned_lt a b = Int64.unsigned_compare a b < 0
 
-(* [Mem.read_u64]/[write_u64], restated over [Mem.raw] for the same
-   reason as [get]/[set] *)
-let[@inline] load64 mem addr =
-  Mem.check_access mem addr 8 Read;
-  Bytes.get_int64_le (Mem.raw mem) addr
+(* Guest loads and stores, made in place on [Mem.t.data] for the same
+   reason as [get]/[set], with [Jit]'s inline fast-byte test: a span
+   whose end pages need no bookkeeping skips the checked call, which
+   would have done nothing else. *)
+let page_shift = 12
+let () = assert (1 lsl page_shift = Mem.page_size)
 
-let[@inline] store64 mem addr v =
-  Mem.check_write mem addr 8;
-  Bytes.set_int64_le (Mem.raw mem) addr v
+let[@inline] fast (mem : Mem.t) a len bit =
+  let last = a + len - 1 in
+  a >= 0 && last < mem.size
+  && Char.code (Bytes.unsafe_get mem.fast (a lsr page_shift))
+     land Char.code (Bytes.unsafe_get mem.fast (last lsr page_shift))
+     land bit
+     <> 0
 
-let[@inline] read_sized mem addr size =
-  if size = 1 then Int64.of_int (Mem.read_u8 mem addr) else load64 mem addr
+let[@inline] load64 (mem : Mem.t) addr =
+  if not (fast mem addr 8 Mem.fast_read) then Mem.check_access mem addr 8 Read;
+  Bytes.get_int64_le mem.data addr
 
-let[@inline] write_sized mem addr size v =
-  if size = 1 then Mem.write_u8 mem addr (Int64.to_int (Int64.logand v 0xFFL))
+let[@inline] store64 (mem : Mem.t) addr v =
+  if not (fast mem addr 8 Mem.fast_write) then Mem.check_write mem addr 8;
+  Bytes.set_int64_le mem.data addr v
+
+let[@inline] read_sized (mem : Mem.t) addr size =
+  if size = 1 then begin
+    if not (fast mem addr 1 Mem.fast_read) then Mem.check_access mem addr 1 Read;
+    Int64.of_int (Char.code (Bytes.get mem.data addr))
+  end
+  else load64 mem addr
+
+let[@inline] write_sized (mem : Mem.t) addr size v =
+  if size = 1 then begin
+    if not (fast mem addr 1 Mem.fast_write) then Mem.check_write mem addr 1;
+    Bytes.set mem.data addr (Char.unsafe_chr (Int64.to_int v land 0xFF))
+  end
   else store64 mem addr v
+
+(* [Decode_cache.block_valid] with its O(1) epoch test inline *)
+let[@inline] valid (mem : Mem.t) (b : Decode_cache.block) =
+  b.stamp = mem.epoch || Decode_cache.block_valid mem b
 
 let[@inline] operand_value cpu = function
   | Insn.O_reg r -> get cpu r
@@ -368,8 +392,7 @@ let run_cached cache obs mem cpu ~fuel =
     if fuel <= 0 then Stop_quantum
     else if i >= Array.length b.insns then loop fuel
     else if
-      i > 0 && b.fragile && b.writes.(i - 1)
-      && not (Decode_cache.block_valid mem b)
+      i > 0 && b.fragile && b.writes.(i - 1) && not (valid mem b)
     then
       (* the write just retired may have rewritten this block: refetch *)
       loop fuel
@@ -383,10 +406,17 @@ let run_cached cache obs mem cpu ~fuel =
 
 (* The JIT tier. Dispatch order per block boundary: compiled code →
    decode cache (promoting blocks that have replayed [Jit]'s threshold
-   many times) → build → uncached single-step fallback. Compiled units
-   run their check-free [fast] variant only when the remaining fuel
-   covers the whole unit, so [Stop_quantum] lands on the same
-   instruction boundary as the other tiers; fragile blocks are
+   many times) → build → uncached single-step fallback. A compiled
+   block's exit first tries its successor slot: when the exit pc is the
+   one it took last time and that block is still valid (an O(1) epoch
+   test unless some page generation moved), it is entered directly,
+   counted as the table hit it would have been. Otherwise the pc is
+   looked up and the slot refilled, so a stale successor still goes
+   through [Jit.lookup] and is counted as an invalidation there. A block
+   branching back to its own entry is just its own successor.
+   Compiled units run their check-free [fast] variant only when the
+   remaining fuel covers the whole unit, so [Stop_quantum] lands on the
+   same instruction boundary as the other tiers; fragile blocks are
    revalidated after each unit that wrote memory (in them a write always
    ends its unit) and deopt back to the decoded tier when a store
    rewrote their code page.
@@ -400,21 +430,23 @@ let run_jit jit cache obs mem cpu ~fuel =
   let ts () = Int64.add base_ns (Int64.of_int ((cpu.Cpu.cycles - c0) / 3)) in
   let rec loop fuel =
     if fuel <= 0 then Stop_quantum
-    else
-      match Jit.lookup jit mem cpu.Cpu.pc with
-      | Jit.Hit c ->
-          cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
-          exec_compiled c 0 fuel
-      | Jit.Stale ->
-          cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
-          if obs.Occlum_obs.Obs.t_jit then
-            Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-              (Occlum_obs.Trace.Jit_invalidate { pc = cpu.Cpu.pc });
-          decoded_tier fuel
-      | Jit.Miss -> decoded_tier fuel
+    else dispatch (Jit.lookup jit mem cpu.Cpu.pc) fuel
+  and dispatch c fuel =
+    if c == Jit.miss then decoded_tier fuel
+    else if c == Jit.stale then begin
+      cpu.Cpu.jit_invalidations <- cpu.Cpu.jit_invalidations + 1;
+      if obs.Occlum_obs.Obs.t_jit then
+        Occlum_obs.Obs.emit_at obs ~ts:(ts ())
+          (Occlum_obs.Trace.Jit_invalidate { pc = cpu.Cpu.pc });
+      decoded_tier fuel
+    end
+    else enter c fuel
+  and enter c fuel =
+    cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
+    if obs.Occlum_obs.Obs.t_jit then
+      Occlum_obs.Obs.emit_at obs ~ts:(ts ())
+        (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
+    exec_compiled c 0 fuel
   and decoded_tier fuel =
     match Decode_cache.lookup cache mem cpu.Cpu.pc with
     | Decode_cache.Hit b ->
@@ -464,10 +496,7 @@ let run_jit jit cache obs mem cpu ~fuel =
   and exec_block (b : Decode_cache.block) i pc fuel =
     if fuel <= 0 then Stop_quantum
     else if i >= Array.length b.insns then loop fuel
-    else if
-      i > 0 && b.fragile && b.writes.(i - 1)
-      && not (Decode_cache.block_valid mem b)
-    then
+    else if i > 0 && b.fragile && b.writes.(i - 1) && not (valid mem b) then
       (* the write just retired may have rewritten this block: refetch *)
       loop fuel
     else
@@ -477,25 +506,22 @@ let run_jit jit cache obs mem cpu ~fuel =
       | None -> exec_block b (i + 1) (pc + len) (fuel - 1)
   and exec_compiled (c : Jit.compiled) u fuel =
     if fuel <= 0 then Stop_quantum
-    else if u >= Array.length c.Jit.units_fast then
-      (* a block that branches back to its own entry (the hot-loop
-         shape) re-enters without the table lookup; validity is
-         re-checked so a store from the block still invalidates it *)
-      if
-        cpu.Cpu.pc = c.Jit.entry
-        && ((not c.Jit.writes) || Decode_cache.block_valid mem c.Jit.src)
-      then begin
-        cpu.Cpu.jit_hits <- cpu.Cpu.jit_hits + 1;
+    else if u >= Array.length c.Jit.units_fast then begin
+      let pc = cpu.Cpu.pc in
+      let s = c.Jit.next in
+      if pc = c.Jit.next_pc && valid mem s.Jit.src then begin
         Jit.note_hit jit;
-        if obs.Occlum_obs.Obs.t_jit then
-          Occlum_obs.Obs.emit_at obs ~ts:(ts ())
-            (Occlum_obs.Trace.Jit_hit { pc = cpu.Cpu.pc });
-        exec_compiled c 0 fuel
+        enter s fuel
       end
-      else loop fuel
-    else if
-      u > 0 && c.Jit.revalidate.(u - 1)
-      && not (Decode_cache.block_valid mem c.Jit.src)
+      else
+        let s = Jit.lookup jit mem pc in
+        if s != Jit.miss && s != Jit.stale then begin
+          c.Jit.next_pc <- pc;
+          c.Jit.next <- s
+        end;
+        dispatch s fuel
+    end
+    else if u > 0 && c.Jit.revalidate.(u - 1) && not (valid mem c.Jit.src)
     then begin
       (* the unit just run wrote into its own code: deopt back to the
          decoded tier *)

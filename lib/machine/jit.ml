@@ -22,14 +22,17 @@
    fuel slicing — parks the pc on the same boundary as the interpreter).
 
    Invalidation mirrors the decode cache: a compiled block keeps its
-   source block's page-generation snapshot and is dropped when a lookup
-   finds the generations moved. Blocks spanning a writable+executable
-   page ("fragile" — every SIP's code region, since SGX1 fixes page
-   permissions at EADD and the LibOS maps code RWX) are fused like any
-   other, except that a unit never continues past an instruction that
-   writes memory; the interpreter revalidates the block after each such
-   unit, so self-modifying code deopts back to the decoded-block tier
-   before the next instruction runs.
+   source block's page-generation snapshot (revalidated in O(1) through
+   [Mem]'s code epoch) and is dropped when a lookup finds the
+   generations moved. Each block also keeps a one-entry successor slot:
+   the block its exit entered last time, which the interpreter enters
+   again directly while it is still valid. Blocks spanning a
+   writable+executable page ("fragile" — every SIP's code region, since
+   SGX1 fixes page permissions at EADD and the LibOS maps code RWX) are
+   fused like any other, except that a unit never continues past an
+   instruction that writes memory; the interpreter revalidates the block
+   after each such unit, so self-modifying code deopts back to the
+   decoded-block tier before the next instruction runs.
 
    Guard elision: translation consults a table of guard addresses that
    [Occlum_analysis.Elide] classified dominated-redundant or
@@ -64,14 +67,16 @@ type compiled = {
   revalidate : bool array;
       (* unit u ends at a write in a fragile block: revalidate [src]
          before unit u + 1 *)
-  writes : bool;
-      (* some instruction writes memory, so the block could invalidate
-         itself (a store into its own executable page) — the self-loop
-         re-entry must revalidate *)
+  mutable next_pc : int; (* successor slot: the pc this exit took last *)
+  mutable next : compiled; (* ... and the compiled block found there *)
 }
 
+(* The code cache: buckets of compiled blocks keyed by entry pc, one
+   bucket per block it may hold, so a lookup walks about one block and
+   allocates nothing. *)
 type t = {
-  tbl : (int, compiled) Hashtbl.t;
+  buckets : compiled list array; (* length a power of two *)
+  mutable count : int;
   threshold : int;
   max_blocks : int;
   elidable : (int, unit) Hashtbl.t; (* absolute guard pcs safe to skip *)
@@ -81,9 +86,37 @@ type t = {
   mutable elisions : int; (* guards compiled away, lifetime *)
 }
 
-let create ?(threshold = 16) ?(max_blocks = 4096) ?elide () =
+(* [lookup]'s two answers other than a valid block, compared by
+   physical equality; neither is ever entered *)
+let rec miss =
   {
-    tbl = Hashtbl.create 256;
+    entry = -1;
+    src =
+      {
+        Decode_cache.entry = -1;
+        insns = [||];
+        pages = [||];
+        gens = [||];
+        fragile = false;
+        writes = [||];
+        hot = 0;
+        stamp = -1;
+      };
+    units_fast = [||];
+    units_safe = [||];
+    unit_insns = [||];
+    revalidate = [||];
+    next_pc = -1;
+    next = miss;
+  }
+
+let stale = { miss with entry = -2 }
+
+let create ?(threshold = 16) ?(max_blocks = 4096) ?elide () =
+  let rec pow2 n = if n >= max_blocks then n else pow2 (2 * n) in
+  {
+    buckets = Array.make (pow2 16) [];
+    count = 0;
     threshold;
     max_blocks;
     elidable = (match elide with Some h -> h | None -> Hashtbl.create 16);
@@ -92,8 +125,6 @@ let create ?(threshold = 16) ?(max_blocks = 4096) ?elide () =
     invalidations = 0;
     elisions = 0;
   }
-
-let clear t = Hashtbl.reset t.tbl
 
 let elide_fact t ~addr = Hashtbl.replace t.elidable addr ()
 
@@ -128,8 +159,10 @@ let set_elide_facts t mem ~lo ~hi addrs =
    another module: an [int64] crossing a call that is not inlined is
    boxed, and under [-opaque] (dune's dev profile) no cross-module call
    is inlined. Registers are read and written in place in [Cpu.regs],
-   guest memory through [Mem.check_access]/[Mem.check_write] followed by
-   the raw access — the same pair [Mem.read_u64]/[write_u64] perform. *)
+   guest memory in place in [Mem.t.data]. An access whose first and
+   last page carry the fast bit needs no bookkeeping and is made
+   directly; any other goes through [Mem.check_access]/[check_write]
+   first, which raise every fault and make every mark. *)
 
 let addr_mask = 0xFF_FFFF_FFFFL
 
@@ -141,13 +174,33 @@ let sp_o = slot Reg.sp
 let[@inline] reg (cpu : Cpu.t) o = Bytes.get_int64_le cpu.Cpu.regs o
 let[@inline] set_reg (cpu : Cpu.t) o v = Bytes.set_int64_le cpu.Cpu.regs o v
 
-let[@inline] load64 mem a =
-  Mem.check_access mem a 8 Fault.Read;
-  Bytes.get_int64_le (Mem.raw mem) a
+let page_shift = 12
+let () = assert (1 lsl page_shift = Mem.page_size)
 
-let[@inline] store64 mem a v =
-  Mem.check_write mem a 8;
-  Bytes.set_int64_le (Mem.raw mem) a v
+(* the span [a, a + len) is in range and both its end pages carry [bit] *)
+let[@inline] fast (mem : Mem.t) a len bit =
+  let last = a + len - 1 in
+  a >= 0 && last < mem.size
+  && Char.code (Bytes.unsafe_get mem.fast (a lsr page_shift))
+     land Char.code (Bytes.unsafe_get mem.fast (last lsr page_shift))
+     land bit
+     <> 0
+
+let[@inline] load64 (mem : Mem.t) a =
+  if not (fast mem a 8 Mem.fast_read) then Mem.check_access mem a 8 Fault.Read;
+  Bytes.get_int64_le mem.data a
+
+let[@inline] store64 (mem : Mem.t) a v =
+  if not (fast mem a 8 Mem.fast_write) then Mem.check_write mem a 8;
+  Bytes.set_int64_le mem.data a v
+
+let[@inline] read_u8 (mem : Mem.t) a =
+  if not (fast mem a 1 Mem.fast_read) then Mem.check_access mem a 1 Fault.Read;
+  Char.code (Bytes.get mem.data a)
+
+let[@inline] write_u8 (mem : Mem.t) a v =
+  if not (fast mem a 1 Mem.fast_write) then Mem.check_write mem a 1;
+  Bytes.set mem.data a (Char.unsafe_chr (v land 0xFF))
 
 let[@inline] to_addr v = Int64.to_int (Int64.logand v addr_mask)
 
@@ -324,7 +377,7 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          set_reg cpu di (Int64.of_int (Mem.read_u8 mem (ea_f cpu)));
+          set_reg cpu di (Int64.of_int (read_u8 mem (ea_f cpu)));
           cpu.Cpu.pc <- end_pc;
           U_fall
       else
@@ -343,7 +396,7 @@ let compile_body ?(elided = false) t (insn : Insn.t) ~pc ~len : body =
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost;
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u8 mem (ea_f cpu) (Int64.to_int (reg cpu si) land 0xFF);
+          write_u8 mem (ea_f cpu) (Int64.to_int (reg cpu si) land 0xFF);
           cpu.Cpu.pc <- end_pc;
           U_fall
       else
@@ -623,7 +676,7 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
           cpu.Cpu.loads <- cpu.Cpu.loads + 1;
-          set_reg cpu di (Int64.of_int (Mem.read_u8 mem a));
+          set_reg cpu di (Int64.of_int (read_u8 mem a));
           cpu.Cpu.pc <- end2;
           U_fall
         else fun mem cpu a ->
@@ -639,7 +692,7 @@ let fuse_guard_mem ~lower1 ~b1 ~m ~pc1 ~len1 ~cost1 ~(second : second) ~len2
           cpu.Cpu.insns <- cpu.Cpu.insns + 1;
           cpu.Cpu.cycles <- cpu.Cpu.cycles + cost2;
           cpu.Cpu.stores <- cpu.Cpu.stores + 1;
-          Mem.write_u8 mem a (Int64.to_int (reg cpu si) land 0xFF);
+          write_u8 mem a (Int64.to_int (reg cpu si) land 0xFF);
           cpu.Cpu.pc <- end2;
           U_fall
         else fun mem cpu a ->
@@ -956,37 +1009,61 @@ let compile t (b : Decode_cache.block) : compiled =
     units_safe = Array.map (fun ((_, s), _, _) -> s) us;
     unit_insns = Array.map (fun (_, k, _) -> k) us;
     revalidate = Array.map (fun (_, _, r) -> r) us;
-    writes = Array.exists Fun.id b.writes;
+    next_pc = -1;
+    next = miss;
   }
 
 (* ---- the code cache ---- *)
 
-type lookup = Hit of compiled | Stale | Miss
+let bucket t pc = (pc lxor (pc lsr 12)) land (Array.length t.buckets - 1)
+
+let rec find_in pc = function
+  | [] -> miss
+  | c :: rest -> if c.entry = pc then c else find_in pc rest
+
+let remove t pc =
+  let i = bucket t pc in
+  t.buckets.(i) <- List.filter (fun c -> c.entry <> pc) t.buckets.(i);
+  t.count <- t.count - 1
 
 let lookup t mem pc =
-  match Hashtbl.find_opt t.tbl pc with
-  | None -> Miss
-  | Some c ->
-      if Decode_cache.block_valid mem c.src then begin
-        t.hits <- t.hits + 1;
-        Hit c
-      end
-      else begin
-        Hashtbl.remove t.tbl pc;
-        t.invalidations <- t.invalidations + 1;
-        Stale
-      end
+  let c = find_in pc t.buckets.(bucket t pc) in
+  if c == miss then miss
+  else if Decode_cache.block_valid mem c.src then begin
+    t.hits <- t.hits + 1;
+    c
+  end
+  else begin
+    remove t pc;
+    t.invalidations <- t.invalidations + 1;
+    stale
+  end
 
 let note_hit t = t.hits <- t.hits + 1
-(* a hit that bypassed [lookup] (the interpreter's self-loop re-entry) *)
+
+(* A flush empties every successor slot too: a block that left the
+   table must be looked up (and recompiled) again, as a miss. *)
+let clear t =
+  Array.iteri
+    (fun i cs ->
+      List.iter
+        (fun c ->
+          c.next_pc <- -1;
+          c.next <- miss)
+        cs;
+      t.buckets.(i) <- [])
+    t.buckets;
+  t.count <- 0
 
 let hot_enough t (b : Decode_cache.block) = b.Decode_cache.hot >= t.threshold
 
 let promote t (b : Decode_cache.block) =
-  if Hashtbl.length t.tbl >= t.max_blocks then clear t;
+  if t.count >= t.max_blocks then clear t;
   let c = compile t b in
   t.compiles <- t.compiles + 1;
-  Hashtbl.replace t.tbl b.entry c;
+  let i = bucket t b.entry in
+  t.buckets.(i) <- c :: t.buckets.(i);
+  t.count <- t.count + 1;
   c
 
 let stats t = (t.compiles, t.hits, t.invalidations)

@@ -9,8 +9,12 @@
     only when the remaining fuel covers the whole unit) and [safe]
     (re-checks fuel at every internal instruction boundary, so quantum
     expiry — and AEX injected by fuel slicing — stops mid-unit on the
-    same boundary as the interpreter). Compiled blocks reuse
-    the source block's page-generation snapshot for invalidation. Blocks
+    same boundary as the interpreter). Guest loads and stores test
+    {!Mem.t.fast} inline and call {!Mem.check_access}/{!Mem.check_write}
+    only when the page needs bookkeeping or may fault. Compiled blocks
+    reuse the source block's page-generation snapshot for invalidation,
+    and each keeps a one-entry successor slot so the interpreter can
+    chain block exits without a table lookup. Blocks
     on writable+executable pages (every SIP's code: SGX1 fixes page
     permissions at EADD, so the LibOS maps code RWX) are fused too, but
     each instruction that writes memory ends its unit, and the
@@ -49,9 +53,14 @@ type compiled = {
       (** [revalidate.(u)]: the block is fragile and unit [u] ends at an
           instruction that writes memory, so [src] must be revalidated
           before unit [u + 1] runs *)
-  writes : bool;
-      (** some instruction writes memory; the interpreter's self-loop
-          re-entry revalidates only such blocks *)
+  mutable next_pc : int;
+      (** successor slot: the pc this block's exit took last time
+          ([-1] when empty) ... *)
+  mutable next : compiled;
+      (** ... and the compiled block {!lookup} found there. The
+          interpreter enters it directly while [next_pc] matches and its
+          [src] is still valid, counting a hit as {!lookup} would;
+          otherwise it looks the pc up and refills the slot. *)
 }
 
 type t
@@ -81,16 +90,20 @@ val compile : t -> Decode_cache.block -> compiled
     charge-then-fault stubs). Exposed for tests; use {!promote} to also
     intern the result. *)
 
-type lookup = Hit of compiled | Stale | Miss
+val miss : compiled
+val stale : compiled
+(** {!lookup}'s answers, compared by physical equality, when there is no
+    valid compiled code at the pc. Neither is ever run. *)
 
-val lookup : t -> Mem.t -> int -> lookup
-(** Find valid compiled code at pc. A stale block (page generations
-    moved) is dropped and reported so the interpreter can count the
-    invalidation. *)
+val lookup : t -> Mem.t -> int -> compiled
+(** Find valid compiled code at pc, counted as a hit; {!miss} if there
+    is none. A stale block (page generations moved) is dropped and
+    answered with {!stale}, so the interpreter can count the
+    invalidation. Allocates nothing. *)
 
 val note_hit : t -> unit
-(** Count a hit that bypassed {!lookup} — the interpreter's self-loop
-    re-entry when a block branches back to its own entry. *)
+(** Count a hit that bypassed {!lookup}: a block exit that entered its
+    successor slot. *)
 
 val hot_enough : t -> Decode_cache.block -> bool
 

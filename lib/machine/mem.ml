@@ -16,12 +16,17 @@ let perm_to_string p =
   Printf.sprintf "%c%c%c" (if p.r then 'r' else '-') (if p.w then 'w' else '-')
     (if p.x then 'x' else '-')
 
+(* The record is exported [private] so the interpreter and the JIT can
+   read [data], [fast] and [epoch] in place: under [-opaque] (dune's
+   dev profile) no call into this module is inlined. *)
 type t = {
   data : Bytes.t;
+  fast : Bytes.t; (* per page: [fast_read] lor [fast_write], see [refresh] *)
+  size : int;
+  mutable epoch : int; (* code epoch, see [move_epoch] *)
   pages : perm option array; (* None = unmapped *)
   gens : int array; (* per-page code generation, see [page_gen] *)
   dirty : Bytes.t; (* '\001' = may hold a non-zero byte, see [zero_dirty_priv] *)
-  size : int;
   (* EPC demand paging. When [paged] is false (the default) none of the
      fields below are consulted and every mapped page is its own frame,
      exactly the pre-paging semantics. When true, [resident] is the
@@ -35,34 +40,69 @@ type t = {
   mutable pager : (int -> unit) option; (* page-in callback, by page index *)
 }
 
+let fast_read = 1
+let fast_write = 2
+
+(* Epochs come from one process-wide counter, so equal epochs can only
+   mean "the same [t], and no generation has moved since". *)
+let epochs = Atomic.make 0
+
 let create ~size =
   if size <= 0 || size mod page_size <> 0 then
     invalid_arg "Mem.create: size must be a positive multiple of the page size";
   {
     data = Bytes.make size '\x00';
+    fast = Bytes.make (size / page_size) '\x00';
+    size;
+    epoch = Atomic.fetch_and_add epochs 1;
     pages = Array.make (size / page_size) None;
     gens = Array.make (size / page_size) 0;
     dirty = Bytes.make (size / page_size) '\x00';
-    size;
     paged = false;
     resident = Bytes.make (size / page_size) '\x01';
     accessed = Bytes.make (size / page_size) '\x00';
     pager = None;
   }
 
+(* The fast byte of a page says which checked accesses need no
+   bookkeeping at all, so callers may skip [check_access]/[check_write]:
+   [fast_read] when a read can neither fault nor set a reference bit,
+   [fast_write] when a write additionally needs no dirty mark and moves
+   no generation. Every mutator of the fields it is computed from calls
+   this afterwards. *)
+let refresh t p =
+  let v =
+    match t.pages.(p) with
+    | Some { r = true; w; x } ->
+        if
+          t.paged
+          && (Bytes.get t.resident p = '\x00' || Bytes.get t.accessed p = '\x00')
+        then 0
+        else if w && (not x) && Bytes.get t.dirty p = '\x01' then
+          fast_read lor fast_write
+        else fast_read
+    | _ -> 0
+  in
+  Bytes.set t.fast p (Char.unsafe_chr v)
+
 let enable_paging t ~pager =
   t.paged <- true;
-  t.pager <- Some pager
+  t.pager <- Some pager;
+  for p = 0 to Array.length t.pages - 1 do
+    refresh t p
+  done
 
 let page_resident t page = (not t.paged) || Bytes.get t.resident page = '\x01'
 
 let set_resident t page r =
-  Bytes.set t.resident page (if r then '\x01' else '\x00')
+  Bytes.set t.resident page (if r then '\x01' else '\x00');
+  refresh t page
 
 let page_accessed t page = Bytes.get t.accessed page = '\x01'
 
 let set_accessed t page a =
-  Bytes.set t.accessed page (if a then '\x01' else '\x00')
+  Bytes.set t.accessed page (if a then '\x01' else '\x00');
+  refresh t page
 
 let size t = t.size
 let page_count t = Array.length t.pages
@@ -77,16 +117,23 @@ let page_count t = Array.length t.pages
    mismatch as invalidation, so they never serve stale code. *)
 let page_gen t page = t.gens.(page)
 
+(* Called after every generation move: a fresh epoch tells each cached
+   block that it must walk its pages again (see
+   [Decode_cache.block_valid]). *)
+let move_epoch t = t.epoch <- Atomic.fetch_and_add epochs 1
+
 let check_range t addr len =
   if addr < 0 || len < 0 || addr + len > t.size then
     invalid_arg (Printf.sprintf "Mem: range [0x%x, +%d) outside address space" addr len)
 
 let bump_gen t ~addr ~len =
   check_range t addr len;
-  if len > 0 then
+  if len > 0 then begin
     for p = addr / page_size to (addr + len - 1) / page_size do
       t.gens.(p) <- t.gens.(p) + 1
-    done
+    done;
+    move_epoch t
+  end
 
 (* Every write path — checked or privileged — calls this before its
    bytes move. It marks each page of the span dirty, and bumps the
@@ -95,9 +142,14 @@ let bump_gen t ~addr ~len =
 let note_write t ~addr ~len =
   if len > 0 then
     for p = addr / page_size to (addr + len - 1) / page_size do
-      Bytes.unsafe_set t.dirty p '\x01';
+      if Bytes.unsafe_get t.dirty p = '\x00' then begin
+        Bytes.unsafe_set t.dirty p '\x01';
+        refresh t p
+      end;
       match t.pages.(p) with
-      | Some { x = true; _ } -> t.gens.(p) <- t.gens.(p) + 1
+      | Some { x = true; _ } ->
+          t.gens.(p) <- t.gens.(p) + 1;
+          move_epoch t
       | _ -> ()
     done
 
@@ -113,7 +165,8 @@ let map t ~addr ~len ~perm =
       Bytes.set t.resident p '\x00';
       Bytes.set t.accessed p '\x00'
     end;
-    t.pages.(p) <- Some perm
+    t.pages.(p) <- Some perm;
+    refresh t p
   done;
   bump_gen t ~addr ~len
 
@@ -122,7 +175,8 @@ let unmap t ~addr ~len =
   if addr mod page_size <> 0 || len mod page_size <> 0 then
     invalid_arg "Mem.unmap: unaligned";
   for p = addr / page_size to ((addr + len) / page_size) - 1 do
-    t.pages.(p) <- None
+    t.pages.(p) <- None;
+    refresh t p
   done;
   bump_gen t ~addr ~len
 
@@ -150,7 +204,7 @@ let check_access t addr len (access : Fault.access) =
         if t.paged then begin
           if Bytes.get t.resident p = '\x00' then
             raise (Fault.Fault (Epc_miss { addr = p * page_size; access }));
-          Bytes.set t.accessed p '\x01'
+          if Bytes.get t.accessed p = '\x00' then set_accessed t p true
         end
   done
 
@@ -180,29 +234,13 @@ let ensure_resident t ~addr ~len =
             pager p
         done
 
-(* The checked accessors are a unit-returning check followed by a raw
-   access, and the JIT inlines exactly that pair over [raw]: an [int64]
-   returned from (or passed to) a function in another module is boxed
-   whenever the call is not inlined, as under [-opaque]. *)
+(* User-mode writes are this check followed by a raw store, made in
+   place by the interpreter and the JIT: an [int64] returned from (or
+   passed to) a function in another module is boxed whenever the call
+   is not inlined, as under [-opaque]. *)
 let check_write t addr len =
   check_access t addr len Write;
   note_write t ~addr ~len
-
-let read_u8 t addr =
-  check_access t addr 1 Read;
-  Char.code (Bytes.get t.data addr)
-
-let write_u8 t addr v =
-  check_write t addr 1;
-  Bytes.set t.data addr (Char.chr (v land 0xFF))
-
-let read_u64 t addr =
-  check_access t addr 8 Read;
-  Bytes.get_int64_le t.data addr
-
-let write_u64 t addr v =
-  check_write t addr 8;
-  Bytes.set_int64_le t.data addr v
 
 (* Privileged accessors for the LibOS / loader: no permission checks,
    still bounds-checked. The LibOS is trusted (§3.1). *)
@@ -299,7 +337,8 @@ let zero_page_priv t page =
   check_range t a page_size;
   note_write t ~addr:a ~len:page_size;
   Bytes.fill t.data a page_size '\x00';
-  Bytes.set t.dirty page '\x00'
+  Bytes.set t.dirty page '\x00';
+  refresh t page
 
 let zero_dirty_priv t ~addr ~len =
   check_range t addr len;

@@ -14,7 +14,47 @@ val perm_rwx : perm
 val perm_ro : perm
 val perm_to_string : perm -> string
 
-type t
+type t = private {
+  data : Bytes.t;  (** the backing store, see {!raw} *)
+  fast : Bytes.t;
+      (** One byte per page: which checked accesses to the page need no
+          bookkeeping, so a caller may skip {!check_access} (bit
+          {!fast_read}) or {!check_write} (bit {!fast_write}) and touch
+          [data] directly. [fast_read] holds when the page is readable
+          and, under paging, resident with its reference bit already
+          set; [fast_write] when it is also writable, not executable and
+          already dirty. Every mutator of those facts ({!map}, {!unmap},
+          {!set_resident}, {!set_accessed}, the first dirty mark of a
+          write, {!zero_page_priv}, {!enable_paging}) recomputes the
+          byte, so a span whose first and last page carry the bit gets
+          exactly what the checked call would have done: nothing. Any
+          other span takes the checked call, which raises every fault
+          and makes every mark as before. *)
+  size : int;
+  mutable epoch : int;
+      (** The code epoch: moves whenever any page generation moves
+          ({!bump_gen}, {!map}, {!unmap}, a write to an executable
+          page). Values are drawn from one process-wide counter, so a
+          cached block that recorded the epoch at which its generation
+          snapshot last matched is still valid while the epoch is
+          unchanged, without walking its pages. *)
+  pages : perm option array;  (** internal: [None] = unmapped *)
+  gens : int array;  (** internal: see {!page_gen} *)
+  dirty : Bytes.t;  (** internal: see {!page_dirty} *)
+  mutable paged : bool;  (** internal: see {!enable_paging} *)
+  resident : Bytes.t;  (** internal: see {!page_resident} *)
+  accessed : Bytes.t;  (** internal: see {!page_accessed} *)
+  mutable pager : (int -> unit) option;  (** internal *)
+}
+(** Read-only outside this module: the interpreter and the JIT read
+    [data], [fast], [size] and [epoch] in place, because no call into
+    this module is inlined under [-opaque]. *)
+
+val fast_read : int
+(** 1: the {!t.fast} bit for reads. *)
+
+val fast_write : int
+(** 2: the {!t.fast} bit for writes. *)
 
 val create : size:int -> t
 (** [create ~size] is a zeroed address space of [size] bytes (a positive
@@ -35,7 +75,8 @@ val page_gen : t -> int -> int
 (** [page_gen t page] is the page's generation counter. It is bumped by
     {!map}, {!unmap}, {!bump_gen} and every write — user or privileged —
     that touches an executable page, so cached decodings of a page are
-    stale exactly when its generation has moved. A privileged write that
+    stale exactly when its generation has moved, and every move also
+    moves {!t.epoch}. A privileged write that
     leaves the bytes as they were need not move it: {!place_priv} writes
     only the pages that differ, so translations of a page survive a
     re-placement of the same bytes at the same address. *)
@@ -82,22 +123,19 @@ val probe_resident : t -> addr:int -> len:int -> unit
     distinguish "bytes are evicted" from "bytes are not an instruction"
     on decode errors. *)
 
-(** {1 Checked accessors (user-mode semantics)}
+(** {1 User-mode accesses}
 
-    Each is {!check_access} (reads) or {!check_write} (writes) followed
-    by the plain access to {!raw}; code that must not box an [int64]
-    across a module boundary performs the same pair itself. *)
+    A guest read is {!check_access} for [Read] followed by the plain
+    access to [data]; a guest write is {!check_write} followed by the
+    plain store. The interpreter and the JIT make both in place (an
+    [int64] crossing a call into this module would be boxed), skipping
+    the check when {!t.fast} says it would do nothing. *)
 
 val check_write : t -> int -> int -> unit
 (** [check_write t addr len] is {!check_access} for [Write] plus the
     bookkeeping every write makes: the span's pages become dirty, and
     executable ones move their generation. Call it immediately before
     writing the span through {!raw}. *)
-
-val read_u8 : t -> int -> int
-val write_u8 : t -> int -> int -> unit
-val read_u64 : t -> int -> int64
-val write_u64 : t -> int -> int64 -> unit
 
 (** {1 Privileged accessors}
 

@@ -25,13 +25,15 @@ let enc_len insns =
 
 (* Everything observable about a stopped machine (jit counters excluded:
    the whole point is that runs with different tiers enabled agree on
-   the architectural part). *)
-let state_str stop cpu =
+   the architectural part). [~bounds:false] leaves out the bound-check
+   count, which guard elision legitimately lowers. *)
+let state_str ?(bounds = true) stop cpu =
   Printf.sprintf
-    "stop=%s pc=%d eq=%b lt=%b cycles=%d insns=%d loads=%d stores=%d bnd=%d regs=%s"
+    "stop=%s pc=%d eq=%b lt=%b cycles=%d insns=%d loads=%d stores=%d bnd=%s regs=%s"
     (Interp.stop_to_string stop)
     cpu.Cpu.pc cpu.Cpu.flag_eq cpu.Cpu.flag_lt cpu.Cpu.cycles cpu.Cpu.insns
-    cpu.Cpu.loads cpu.Cpu.stores cpu.Cpu.bound_checks
+    cpu.Cpu.loads cpu.Cpu.stores
+    (if bounds then string_of_int cpu.Cpu.bound_checks else "-")
     (String.concat ","
        (List.init Reg.count (fun i ->
             Int64.to_string (Cpu.get cpu (Reg.of_int i)))))
@@ -65,6 +67,44 @@ let loop_prog ?(store = false) iters =
    :: Insn.Mov_imm (Reg.r7, Int64.of_int Test_machine.data)
    :: body)
   @ [ fix (-body_len); Insn.Syscall_gate ]
+
+(* A tiny assembler for code at fixed addresses: [J (mk, target)] is a
+   pc-relative transfer [mk rel] to the absolute [target], its
+   displacement found by fixed point (the encoding length depends on
+   it). *)
+type item = I of Insn.t | J of (int -> Insn.t) * int
+
+let assemble ~at items =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun it ->
+      let pc = at + Buffer.length buf in
+      let insn =
+        match it with
+        | I i -> i
+        | J (mk, target) ->
+            let rec fix rel =
+              let len = String.length (Codec.encode (mk rel)) in
+              let rel' = target - (pc + len) in
+              if rel' = rel then mk rel else fix rel'
+            in
+            fix 0
+      in
+      Codec.encode_into buf insn)
+    items;
+  Buffer.to_bytes buf
+
+let jmp t = J ((fun r -> Insn.Jmp r), t)
+let jne t = J ((fun r -> Insn.Jcc (Ne, r)), t)
+let call t = J ((fun r -> Insn.Call r), t)
+
+(* [Test_machine.setup] with code pages 1 and 2 and each piece of code
+   at its own address *)
+let setup_pieces ?(code_perm = Mem.perm_rwx) pieces =
+  let mem, cpu = setup ~code_perm [] in
+  Mem.map mem ~addr:8192 ~len:4096 ~perm:code_perm;
+  List.iter (fun (addr, code) -> Mem.write_bytes_priv mem ~addr code) pieces;
+  (mem, cpu)
 
 let disasm_exn oelf =
   match Occlum_verifier.Verify.verify oelf with
@@ -437,6 +477,343 @@ let test_jit_steady_state_no_alloc () =
       ("RWX loop with guard, store, load", Mem.perm_rwx, loop_prog ~store:true 100_000);
     ]
 
+(* A loop body over three blocks, one of them a called function: every
+   block exit (call, ret, loop branch) chains to the block it took last
+   time, so the steady state allocates nothing at block entry either. *)
+let multi_block_prog iters =
+  let f = 4096 + 2048 in
+  let init =
+    [ I (Insn.Mov_imm (Reg.r1, Int64.of_int iters));
+      I (Insn.Mov_imm (Reg.r2, 0L));
+      I (Insn.Mov_imm (Reg.r7, Int64.of_int Test_machine.data)) ]
+  in
+  let l = 4096 + Bytes.length (assemble ~at:4096 init) in
+  let slot : Insn.mem = Sib { base = Reg.r7; index = None; scale = 1; disp = 0 } in
+  [
+    ( 4096,
+      assemble ~at:4096
+        (init
+        @ [ I (Insn.Alu (Add, Reg.r2, O_imm 3L)); call f;
+            I (Insn.Alu (Sub, Reg.r1, O_imm 1L)); I (Insn.Cmp (Reg.r1, O_imm 0L));
+            jne l; I Insn.Syscall_gate ]) );
+    ( f,
+      assemble ~at:f
+        [ I (Insn.Alu (Add, Reg.r2, O_imm 1L));
+          I (Insn.Store { dst = slot; src = Reg.r2; size = 8 });
+          I (Insn.Load { dst = Reg.r5; src = slot; size = 8 });
+          I Insn.Ret ] );
+  ]
+
+let test_jit_multi_block_no_alloc () =
+  List.iter
+    (fun (name, code_perm) ->
+      let pieces = multi_block_prog 100_000 in
+      let mem, cpu = setup_pieces ~code_perm pieces in
+      let cache = Decode_cache.create () and jit = Jit.create () in
+      ignore (Interp.run ~cache ~jit mem cpu ~fuel:1_000);
+      Alcotest.(check int) (name ^ ": three blocks compiled") 3
+        cpu.Cpu.jit_compiles;
+      let i0 = cpu.Cpu.insns and w0 = Gc.minor_words () in
+      ignore (Interp.run ~cache ~jit mem cpu ~fuel:200_000);
+      let words = Gc.minor_words () -. w0 in
+      let per_insn = words /. float_of_int (cpu.Cpu.insns - i0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f minor words/insn < 0.01" name per_insn)
+        true (per_insn < 0.01);
+      let mem_u, cpu_u = setup_pieces ~code_perm pieces in
+      let mem_j, cpu_j = setup_pieces ~code_perm pieces in
+      let su = Interp.run mem_u cpu_u ~fuel:10_000_000 in
+      let sj = Interp.run ~cache:(Decode_cache.create ()) ~jit:(Jit.create ())
+          mem_j cpu_j ~fuel:10_000_000 in
+      Alcotest.(check string) (name ^ ": jit = uncached") (state_str su cpu_u)
+        (state_str sj cpu_j))
+    [ ("r-x call/ret loop", Mem.perm_rx); ("RWX call/ret loop", Mem.perm_rwx) ]
+
+(* --- the inline fast path: same faults, marks and counts ------------------------ *)
+
+(* A loop that loads and stores 10 cold data pages (and one 8-byte span
+   across a page boundary) through an 8-frame EPC pool, re-reading a hot
+   page between each, so the reclaimer clears reference bits, spares the
+   hot page only if every access set its bit again, and evicts pages
+   mid-run; each [Epc_miss] reloads the page and resumes. The JIT tier
+   must take exactly the uncached tier's faults and EWB/ELDU traffic.
+   The tiers may differ in the code page's reference bit (only a fetch
+   sets it, and compiled code does not fetch), so a victim policy keeps
+   the code page out of the sweep. *)
+let paged_loop_prog iters =
+  let at k : Insn.mem =
+    Sib { base = Reg.r7; index = None; scale = 1; disp = (k * 4096) + 64 }
+  in
+  let straddle : Insn.mem =
+    Sib { base = Reg.r7; index = None; scale = 1; disp = (3 * 4096) - 4 }
+  in
+  let body =
+    List.concat_map
+      (fun k ->
+        [ Insn.Load { dst = Reg.r5; src = at k; size = 8 };
+          Insn.Alu (Add, Reg.r5, O_reg Reg.r1);
+          Insn.Store { dst = at k; src = Reg.r5; size = 8 };
+          Insn.Load { dst = Reg.r9; src = at 0; size = 8 };
+          Insn.Alu (Add, Reg.r10, O_reg Reg.r9) ])
+      (List.init 10 (fun k -> k + 1))
+    @ [ Insn.Load { dst = Reg.r6; src = straddle; size = 8 };
+        Insn.Alu (Add, Reg.r6, O_imm 1L);
+        Insn.Store { dst = straddle; src = Reg.r6; size = 8 };
+        Insn.Alu (Sub, Reg.r1, O_imm 1L); Insn.Cmp (Reg.r1, O_imm 0L) ]
+  in
+  let init =
+    [ I (Insn.Mov_imm (Reg.r1, Int64.of_int iters));
+      I (Insn.Mov_imm (Reg.r7, Int64.of_int Test_machine.data)) ]
+  in
+  let l = 4096 + Bytes.length (assemble ~at:4096 init) in
+  assemble ~at:4096 (init @ List.map (fun i -> I i) body @ [ jne l; I Insn.Syscall_gate ])
+
+let run_paged ~jit code =
+  let module Epc = Occlum_sgx.Epc in
+  let pool = Epc.create ~size:(8 * 4096) () in
+  Epc.enable_paging pool;
+  let mem = Mem.create ~size:(64 * 4096) in
+  Epc.register_client pool ~cid:1 ~mem;
+  Epc.set_victim_policy pool (Some (fun () ~cid:_ ~page -> page = 1));
+  Mem.map mem ~addr:4096 ~len:4096 ~perm:Mem.perm_rwx;
+  Mem.map mem ~addr:Test_machine.data ~len:(14 * 4096) ~perm:Mem.perm_rw;
+  Mem.write_bytes_priv mem ~addr:4096 code;
+  let cpu = Cpu.create () in
+  cpu.Cpu.pc <- 4096;
+  let cache = if jit then Some (Decode_cache.create ()) else None in
+  let j = if jit then Some (Jit.create ~threshold:0 ()) else None in
+  let misses = Buffer.create 256 in
+  let rec go n =
+    if n > 100_000 then Alcotest.fail "paged loop made no progress";
+    match Interp.run ?cache ?jit:j mem cpu ~fuel:1_000 with
+    | Interp.Stop_fault (Fault.Epc_miss { addr; access }) ->
+        Printf.bprintf misses "%x:%s " addr (Fault.access_to_string access);
+        Epc.eldu pool ~cid:1 ~page:(addr / 4096);
+        go (n + 1)
+    | Interp.Stop_quantum -> go (n + 1)
+    | s -> s
+  in
+  let stop = go 0 in
+  let st =
+    match Epc.paging_stats pool with
+    | Some st -> st
+    | None -> Alcotest.fail "paging stats missing"
+  in
+  let data = Mem.read_bytes_priv mem ~addr:Test_machine.data ~len:(14 * 4096) in
+  (state_str stop cpu, Buffer.contents misses, st, Digest.bytes data, cpu)
+
+let test_fast_path_paged_equivalence () =
+  let code = paged_loop_prog 30 in
+  let su, mu, stu, du, _ = run_paged ~jit:false code in
+  let sj, mj, stj, dj, cpu_j = run_paged ~jit:true code in
+  Alcotest.(check string) "final state: jit = uncached" su sj;
+  Alcotest.(check string) "same Epc_miss faults, in order" mu mj;
+  Alcotest.(check int) "same EWB count" stu.Occlum_sgx.Epc.ewb stj.Occlum_sgx.Epc.ewb;
+  Alcotest.(check int) "same ELDU count" stu.Occlum_sgx.Epc.eldu stj.Occlum_sgx.Epc.eldu;
+  Alcotest.(check string) "same data pages" (Digest.to_hex du) (Digest.to_hex dj);
+  (* both tiers share the inline test, so also check it against the
+     clock itself: every access to the hot page sets its reference bit
+     again, so second chance spares it more often than any cold page *)
+  let misses_of page =
+    let prefix = Printf.sprintf "%x:" (Test_machine.data + (page * 4096)) in
+    List.length
+      (List.filter (String.starts_with ~prefix) (String.split_on_char ' ' mj))
+  in
+  let hot = misses_of 0 in
+  let coldest = List.fold_left min max_int (List.init 10 (fun k -> misses_of (k + 1))) in
+  Alcotest.(check bool)
+    (Printf.sprintf "hot page missed %d times, each cold page >= %d" hot coldest)
+    true (hot < coldest);
+  Alcotest.(check bool)
+    (Printf.sprintf "pages were evicted (%d) and reloaded (%d)"
+       stj.Occlum_sgx.Epc.ewb stj.Occlum_sgx.Epc.eldu)
+    true
+    (stj.Occlum_sgx.Epc.ewb > 30 && stj.Occlum_sgx.Epc.eldu > 30);
+  Alcotest.(check bool) "ran compiled" true (cpu_j.Cpu.jit_compiles > 0)
+
+let test_fast_store_marks_clean_page_dirty () =
+  (* the data page starts clean; the compiled loop's stores must dirty
+     it, or the slot-reuse scrub would skip it and leak its bytes *)
+  let mem, cpu = setup (loop_prog ~store:true 50) in
+  let page = Test_machine.data / 4096 in
+  Alcotest.(check bool) "data page clean before" false (Mem.page_dirty mem page);
+  let j = Jit.create ~threshold:0 () in
+  (match Interp.run ~cache:(Decode_cache.create ()) ~jit:j mem cpu ~fuel:10_000 with
+  | Interp.Stop_syscall -> ()
+  | s -> Alcotest.fail ("loop: " ^ Interp.stop_to_string s));
+  Alcotest.(check bool) "ran compiled" true (cpu.Cpu.jit_compiles > 0);
+  Alcotest.(check bool) "stored sum is there" true
+    (Mem.read_u64_priv mem Test_machine.data <> 0L);
+  Alcotest.(check bool) "data page dirty after" true (Mem.page_dirty mem page);
+  Mem.zero_dirty_priv mem ~addr:Test_machine.data ~len:(4 * 4096);
+  Alcotest.(check int64) "scrub zeroed it" 0L
+    (Mem.read_u64_priv mem Test_machine.data)
+
+let test_fast_store_into_code_moves_gen () =
+  (* every compiled store into an RWX code page moves its generation,
+     and invalidates a block there that had just validated (an O(1)
+     revalidation would miss it if the store left the epoch alone) *)
+  let iters = 20 in
+  let target = 8192 + 256 in
+  let init =
+    [ I (Insn.Mov_imm (Reg.r1, Int64.of_int iters));
+      I (Insn.Mov_imm (Reg.r3, Int64.of_int target)) ]
+  in
+  let l = 4096 + Bytes.length (assemble ~at:4096 init) in
+  let main =
+    assemble ~at:4096
+      (init
+      @ [ I (Insn.Store
+               { dst = Sib { base = Reg.r3; index = None; scale = 1; disp = 0 };
+                 src = Reg.r1; size = 8 });
+          I (Insn.Alu (Sub, Reg.r1, O_imm 1L)); I (Insn.Cmp (Reg.r1, O_imm 0L));
+          jne l; I Insn.Syscall_gate ])
+  in
+  let other = assemble ~at:8192 [ I Insn.Nop; I Insn.Syscall_gate ] in
+  let mem, cpu = setup_pieces [ (4096, main); (8192, other) ] in
+  let b =
+    match Decode_cache.build (Decode_cache.create ()) mem 8192 with
+    | Some b -> b
+    | None -> Alcotest.fail "block did not build"
+  in
+  Alcotest.(check bool) "other block valid" true (Decode_cache.block_valid mem b);
+  let g0 = Mem.page_gen mem 2 in
+  (match
+     Interp.run ~cache:(Decode_cache.create ()) ~jit:(Jit.create ~threshold:0 ())
+       mem cpu ~fuel:10_000
+   with
+  | Interp.Stop_syscall -> ()
+  | s -> Alcotest.fail ("loop: " ^ Interp.stop_to_string s));
+  Alcotest.(check bool) "ran compiled" true (cpu.Cpu.jit_compiles > 0);
+  Alcotest.(check int) "one generation per store" iters (Mem.page_gen mem 2 - g0);
+  Alcotest.(check bool) "other block invalidated" false
+    (Decode_cache.block_valid mem b)
+
+(* --- chained exits see invalidation ---------------------------------------------- *)
+
+(* Block A (page 1) and block B (page 2) jump to each other; after some
+   iterations B is A's chained successor. Each case then changes B and
+   the run must re-decode it, exactly as the uncached loop sees it. *)
+let b_at = 8192
+
+let chain_pieces ~a_body ~b_body =
+  let init =
+    [ I (Insn.Mov_imm (Reg.r1, 40L));
+      I (Insn.Mov_imm (Reg.r6, Int64.of_int Test_machine.data)) ]
+  in
+  let a = 4096 + Bytes.length (assemble ~at:4096 (init @ [ jmp b_at ])) in
+  [
+    (4096, assemble ~at:4096 (init @ [ jmp b_at ] @ a_body @ [ jmp b_at ]));
+    ( b_at,
+      assemble ~at:b_at
+        (b_body
+        @ [ I (Insn.Alu (Sub, Reg.r1, O_imm 1L)); I (Insn.Cmp (Reg.r1, O_imm 0L));
+            jne a; I Insn.Syscall_gate ]) );
+  ]
+
+let test_chain_store_into_successor () =
+  (* A stores through a table entry indexed by the loop counter: into
+     the data page, except at r1 = 10, where it overwrites B's leading
+     nop with a syscall gate — after B has been A's successor for 29
+     iterations *)
+  let gate = Codec.encode Insn.Syscall_gate in
+  let a_body =
+    [ I (Insn.Load
+           { dst = Reg.r3; src = Sib { base = Reg.r6; index = Some Reg.r1; scale = 8; disp = 0 };
+             size = 8 });
+      I (Insn.Store
+           { dst = Sib { base = Reg.r3; index = None; scale = 1; disp = 0 };
+             src = Reg.r4; size = 1 }) ]
+  in
+  let b_body = [ I Insn.Nop; I (Insn.Alu (Add, Reg.r8, O_imm 1L)) ] in
+  let pieces = chain_pieces ~a_body ~b_body in
+  let machine () =
+    let mem, cpu = setup_pieces pieces in
+    for k = 0 to 40 do
+      let dst = if k = 10 then b_at else Test_machine.data + 2048 in
+      Mem.write_u64_priv mem (Test_machine.data + (8 * k)) (Int64.of_int dst)
+    done;
+    Cpu.set cpu Reg.r4 (Int64.of_int (Char.code gate.[0]));
+    (mem, cpu)
+  in
+  let mem_u, cpu_u = machine () in
+  let su = Interp.run mem_u cpu_u ~fuel:100_000 in
+  Alcotest.(check int) "uncached stops at B's rewritten entry" (b_at + 1)
+    cpu_u.Cpu.pc;
+  let mem_j, cpu_j = machine () in
+  let sj =
+    Interp.run ~cache:(Decode_cache.create ()) ~jit:(Jit.create ~threshold:0 ())
+      mem_j cpu_j ~fuel:100_000
+  in
+  Alcotest.(check string) "store into the successor: jit = uncached"
+    (state_str su cpu_u) (state_str sj cpu_j);
+  Alcotest.(check bool) "A chained to B before" true (cpu_j.Cpu.jit_hits > 40);
+  Alcotest.(check bool) "stale B dropped and re-decoded" true
+    (cpu_j.Cpu.jit_invalidations >= 1 && cpu_j.Cpu.dcache_invalidations >= 1)
+
+(* Run [pieces] for [fuel] instructions on the uncached loop and on a
+   zero-threshold JIT, apply [change] to both machines, and run both to
+   completion. *)
+let chain_change ?(jit = Jit.create ~threshold:0 ()) ~fuel ~change pieces =
+  let mem_u, cpu_u = setup_pieces pieces in
+  let mem_j, cpu_j = setup_pieces pieces in
+  let cache = Decode_cache.create () in
+  let s1u = Interp.run mem_u cpu_u ~fuel in
+  let s1j = Interp.run ~cache ~jit mem_j cpu_j ~fuel in
+  Alcotest.(check string) "first leg stops alike" (Interp.stop_to_string s1u)
+    (Interp.stop_to_string s1j);
+  Alcotest.(check bool) "first leg ran compiled and chained" true
+    (cpu_j.Cpu.jit_compiles > 0 && cpu_j.Cpu.jit_hits > 10);
+  change ~jit:false mem_u cpu_u;
+  change ~jit:true mem_j cpu_j;
+  let su = Interp.run mem_u cpu_u ~fuel:100_000 in
+  let sj = Interp.run ~cache ~jit mem_j cpu_j ~fuel:100_000 in
+  (su, cpu_u, sj, cpu_j)
+
+let test_chain_elide_facts_change () =
+  (* B's guard is elided while A chains to it; then the facts drop it
+     and the bounds exclude the address: the next entry into B must
+     check, and fault, as the uncached loop does *)
+  let slot : Insn.mem = Sib { base = Reg.r6; index = None; scale = 1; disp = 0 } in
+  let b_body =
+    [ I (Insn.Bndcl (Reg.bnd0, Ea_mem slot)); I (Insn.Bndcu (Reg.bnd0, Ea_mem slot));
+      I (Insn.Alu (Add, Reg.r8, O_imm 1L)) ]
+  in
+  let pieces =
+    chain_pieces ~a_body:[ I (Insn.Alu (Add, Reg.r9, O_imm 1L)) ] ~b_body
+  in
+  let jit = Jit.create ~threshold:0 () in
+  Jit.elide_fact jit ~addr:b_at;
+  let change ~jit:on mem cpu =
+    Cpu.set_bnd cpu Reg.bnd0
+      { Cpu.lower = Int64.of_int (Test_machine.data + 4096); upper = -1L };
+    if on then Jit.set_elide_facts jit mem ~lo:b_at ~hi:(b_at + 4096) []
+  in
+  let su, cpu_u, sj, cpu_j = chain_change ~jit ~fuel:150 ~change pieces in
+  (match su with
+  | Interp.Stop_fault (Fault.Bound_fault _) -> ()
+  | s -> Alcotest.fail ("uncached: expected a bound fault, got " ^ Interp.stop_to_string s));
+  Alcotest.(check bool) "guards were elided" true (Jit.elisions jit > 0);
+  Alcotest.(check string) "facts changed under a chained exit: jit = uncached"
+    (state_str ~bounds:false su cpu_u)
+    (state_str ~bounds:false sj cpu_j);
+  Alcotest.(check bool) "stale B dropped" true (cpu_j.Cpu.jit_invalidations >= 1)
+
+let test_chain_replacement () =
+  (* a re-placement rewrites B's increment while A chains to it *)
+  let a_body = [ I (Insn.Alu (Add, Reg.r9, O_imm 1L)) ] in
+  let b_body k = [ I (Insn.Alu (Add, Reg.r8, O_imm k)) ] in
+  let pieces = chain_pieces ~a_body ~b_body:(b_body 1L) in
+  let b' = List.assoc b_at (chain_pieces ~a_body ~b_body:(b_body 7L)) in
+  let change ~jit:_ mem _ = Mem.place_priv mem ~addr:b_at b' in
+  let su, cpu_u, sj, cpu_j = chain_change ~fuel:100 ~change pieces in
+  Alcotest.(check string) "uncached ran to the gate" "syscall"
+    (Interp.stop_to_string su);
+  Alcotest.(check string) "re-placed successor: jit = uncached"
+    (state_str su cpu_u) (state_str sj cpu_j);
+  Alcotest.(check bool) "stale B dropped and re-decoded" true
+    (cpu_j.Cpu.jit_invalidations >= 1 && cpu_j.Cpu.dcache_invalidations >= 1)
+
 (* --- LibOS: multi-core determinism and stats -------------------------------- *)
 
 let test_libos_jit_on_off_identical () =
@@ -500,6 +877,20 @@ let suite =
       test_quantum_every_boundary_rwx;
     Alcotest.test_case "steady state allocates nothing" `Quick
       test_jit_steady_state_no_alloc;
+    Alcotest.test_case "steady state allocates nothing: call/ret blocks" `Quick
+      test_jit_multi_block_no_alloc;
+    Alcotest.test_case "fast path: paged loop = uncached" `Quick
+      test_fast_path_paged_equivalence;
+    Alcotest.test_case "fast path: store dirties a clean page" `Quick
+      test_fast_store_marks_clean_page_dirty;
+    Alcotest.test_case "fast path: store into code moves its gen" `Quick
+      test_fast_store_into_code_moves_gen;
+    Alcotest.test_case "chain: store into the successor" `Quick
+      test_chain_store_into_successor;
+    Alcotest.test_case "chain: elide facts change" `Quick
+      test_chain_elide_facts_change;
+    Alcotest.test_case "chain: re-placed successor" `Quick
+      test_chain_replacement;
     Alcotest.test_case "LibOS: jit on/off identical + stats" `Quick
       test_libos_jit_on_off_identical;
     Alcotest.test_case "multi-core digest with jit" `Quick

@@ -13,6 +13,19 @@ module Sysm = Occlum
 
 let rt = Occlum_toolchain.Runtime.program
 
+(* [Os.wait_pid_exit] that fails the test on any status but
+   [All_exited], like [Harness.wait_exit] but with the caller's step
+   budget: a child that deadlocks or outlives the budget must not let
+   the checks after it read a half-finished run. *)
+let wait_exit ~max_steps os pid =
+  match Os.wait_pid_exit ~max_steps os pid with
+  | Os.All_exited -> ()
+  | Os.Deadlock pids ->
+      Alcotest.failf "pid %d did not exit: deadlock among pids [%s]" pid
+        (String.concat "; " (List.map string_of_int pids))
+  | Os.Quota_exhausted ->
+      Alcotest.failf "pid %d did not exit within %d steps" pid max_steps
+
 (* Build a system with [binaries] installed and run /bin/app. *)
 let run_system ?(mode = Os.Sip) ?(binaries = []) ?(args = []) main_prog =
   let config = { Os.default_config with mode } in
@@ -518,7 +531,7 @@ let test_slot_exhaustion () =
   Os.install_binary os "/bin/sleeper" (build sleeper);
   Os.install_binary os "/bin/app" (build spawner);
   let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
-  ignore (Os.wait_pid_exit ~max_steps:500_000 os pid);
+  wait_exit ~max_steps:500_000 os pid;
   (match Os.find_proc os pid with
   | Some p -> Alcotest.(check int) "hit EAGAIN" 1 p.exit_code
   | None -> Alcotest.fail "spawner vanished")
@@ -552,7 +565,7 @@ let slots_in_use os = Occlum_libos.Domain_mgr.in_use_count os.Os.domains
 
 let spawn_and_wait os path =
   let pid = Os.spawn os ~parent_pid:0 ~path ~args:[] in
-  ignore (Os.wait_pid_exit ~max_steps:500_000 os pid)
+  wait_exit ~max_steps:500_000 os pid
 
 let test_spawn_e2big () =
   (* argv that cannot fit the 4 KiB argument area is E2BIG, rejected
@@ -594,7 +607,7 @@ let test_spawn_e2big () =
   Os.install_binary os "/bin/app" (signed guest);
   let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
   Alcotest.(check int) "app holds one slot" 1 (slots_in_use os);
-  ignore (Os.wait_pid_exit ~max_steps:2_000_000 os pid);
+  wait_exit ~max_steps:2_000_000 os pid;
   (match Os.find_proc os pid with
   | Some p -> Alcotest.(check int) "guest saw E2BIG twice" pid p.exit_code
   | None -> Alcotest.fail "app vanished");
@@ -665,7 +678,7 @@ let test_spawn_elide_facts () =
   in
   List.iter (fun (path, oelf) -> Os.install_binary os path oelf) binaries;
   let fish = Os.spawn os ~parent_pid:0 ~path:"/bin/fish" ~args:[ "2"; "8" ] in
-  ignore (Os.wait_pid_exit ~max_steps:5_000_000 os fish);
+  wait_exit ~max_steps:5_000_000 os fish;
   (match Os.find_proc os fish with
   | Some p -> Alcotest.(check int) "fish round" 0 p.exit_code
   | None -> ());
@@ -701,7 +714,7 @@ let test_spawn_elide_facts () =
         in
         Alcotest.(check (list int)) (path ^ " facts") (expected oelf) got;
         total := !total + List.length got;
-        ignore (Os.wait_pid_exit ~max_steps:2_000_000 os pid)
+        wait_exit ~max_steps:2_000_000 os pid
       done)
     binaries;
   Alcotest.(check bool) "some guards elided" true (!total > 0)
@@ -753,7 +766,7 @@ let test_sgx2_mode () =
   let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
   let during = Occlum_sgx.Epc.used_pages os.Os.epc in
   Alcotest.(check bool) "EPC grows on spawn" true (during > before);
-  ignore (Os.wait_pid_exit ~max_steps:500_000 os pid);
+  wait_exit ~max_steps:500_000 os pid;
   Alcotest.(check int) "EPC released on exit" before
     (Occlum_sgx.Epc.used_pages os.Os.epc);
   (match Os.find_proc os pid with
@@ -763,7 +776,7 @@ let test_sgx2_mode () =
   | None -> Alcotest.fail "process lost");
   (* a second spawn reuses the slot with fresh zeroed pages *)
   let pid2 = Os.spawn os ~parent_pid:0 ~path:"/bin/app" ~args:[] in
-  ignore (Os.wait_pid_exit ~max_steps:500_000 os pid2);
+  wait_exit ~max_steps:500_000 os pid2;
   match Os.find_proc os pid2 with
   | Some p -> Alcotest.(check int) "re-spawn exit code" 6 p.exit_code
   | None -> Alcotest.fail "second process lost"

@@ -36,17 +36,17 @@ let test_mem_permissions () =
   Mem.map mem ~addr:0 ~len:4096 ~perm:Mem.perm_ro;
   Alcotest.(check bool) "mapped" true (Mem.perm_at mem 0 <> None);
   Alcotest.(check bool) "unmapped" true (Mem.perm_at mem 4096 = None);
-  ignore (Mem.read_u8 mem 10);
+  Mem.check_access mem 10 1 Fault.Read;
   Alcotest.check_raises "write to ro"
     (Fault.Fault (Fault.Page_fault { addr = 10; access = Fault.Write }))
-    (fun () -> Mem.write_u8 mem 10 1);
+    (fun () -> Mem.check_write mem 10 1);
   Alcotest.check_raises "read unmapped"
     (Fault.Fault (Fault.Page_fault { addr = 4096; access = Fault.Read }))
-    (fun () -> ignore (Mem.read_u8 mem 4096));
+    (fun () -> Mem.check_access mem 4096 1 Fault.Read);
   (* span crossing into an unmapped page faults *)
   Alcotest.check_raises "straddling read"
     (Fault.Fault (Fault.Page_fault { addr = 4092; access = Fault.Read }))
-    (fun () -> ignore (Mem.read_u64 mem 4092));
+    (fun () -> Mem.check_access mem 4092 8 Fault.Read);
   Mem.unmap mem ~addr:0 ~len:4096;
   Alcotest.(check bool) "unmapped after unmap" true (Mem.perm_at mem 0 = None)
 

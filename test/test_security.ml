@@ -83,7 +83,7 @@ let test_cross_domain_store_blocked () =
   in
   Os.install_binary os "/bin/attacker" (build (prog (victim_d + 64)));
   let pid2 = Os.spawn os ~parent_pid:0 ~path:"/bin/attacker" ~args:[] in
-  ignore (Os.wait_pid_exit ~max_steps:200_000 os pid2);
+  Test_libos.wait_exit ~max_steps:200_000 os pid2;
   (* the attacker died on a bound fault; the victim's memory is intact *)
   (match Os.find_proc os pid2 with
   | Some p ->
@@ -123,7 +123,7 @@ let test_cross_domain_load_blocked () =
   in
   Os.install_binary os "/bin/reader" (build (reader victim_d));
   let pid2 = Os.spawn os ~parent_pid:0 ~path:"/bin/reader" ~args:[] in
-  ignore (Os.wait_pid_exit ~max_steps:200_000 os pid2);
+  Test_libos.wait_exit ~max_steps:200_000 os pid2;
   match Os.find_proc os pid2 with
   | Some p -> Alcotest.(check bool) "reader killed" true (p.exit_code > 128)
   | None -> Alcotest.fail "reader vanished"

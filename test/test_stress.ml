@@ -225,7 +225,7 @@ let test_slot_churn_sgx2 () =
   let baseline = Occlum_sgx.Epc.used_pages os.Os.epc in
   for _ = 1 to 10 do
     let pid = Os.spawn os ~parent_pid:0 ~path:"/bin/appender" ~args:[ "1"; "2" ] in
-    ignore (Os.wait_pid_exit ~max_steps:500_000 os pid)
+    Test_libos.wait_exit ~max_steps:500_000 os pid
   done;
   Alcotest.(check int) "EPC back to baseline" baseline
     (Occlum_sgx.Epc.used_pages os.Os.epc)
